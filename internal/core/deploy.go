@@ -32,10 +32,61 @@ var (
 	predsIssued = obs.NewCounter("core.predictions")
 )
 
+// IntervalModel supplies per-interval base-signal vectors in place of the
+// cycle model: given the global interval index, the mode in effect, the
+// DRAM derate factor for the interval, and the number of intervals since
+// the last mode switch (SteadySinceSwitch when no switch is in flight), it
+// returns an estimate of what the exact simulator's ExtractBase delta
+// would have been. The surrogate package implements it by splicing
+// recorded fixed-mode telemetry and correcting with a learned residual.
+//
+// Implementations must be deterministic and must not retain or mutate the
+// returned slice after handing it over; DeployOnModel treats it as owned.
+type IntervalModel interface {
+	IntervalBase(gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64
+}
+
+// SteadySinceSwitch is the sinceSwitch value the deploy loop passes once a
+// deployment is past any mode-switch transient (including the initial
+// warmed-up high-performance state).
+const SteadySinceSwitch = 1 << 20
+
+// intervalSource feeds the deploy loop one interval at a time, with the
+// same arguments as IntervalModel.IntervalBase; ok is false once the
+// source has run dry.
+type intervalSource interface {
+	next(gidx int, mode uarch.Mode, derate float64, sinceSwitch int) (base []float64, ok bool)
+}
+
+// cycleSource is the exact source: the trace run through the cycle model.
+type cycleSource struct {
+	run *dataset.Runner
+	// derated is set when an injector is present; only then does the
+	// core's DRAM derate follow the fault schedule.
+	derated bool
+}
+
+func (s *cycleSource) next(_ int, mode uarch.Mode, derate float64, _ int) ([]float64, bool) {
+	s.run.Core.SetMode(mode)
+	if s.derated {
+		s.run.Core.SetMemDerate(derate)
+	}
+	base, n := s.run.Next()
+	return base, n > 0
+}
+
+// modelSource is the surrogate source. It never runs dry: the loop stops
+// at the recordings' last full window, and the model covers them all.
+type modelSource struct{ im IntervalModel }
+
+func (s modelSource) next(gidx int, mode uarch.Mode, derate float64, sinceSwitch int) ([]float64, bool) {
+	return s.im.IntervalBase(gidx, mode, derate, sinceSwitch), true
+}
+
 // DeployWithOptions is the hardened deployment engine behind Deploy and
-// DeployGuarded: it runs the controller closed-loop over one trace with
-// optional fault injection and the optional guardrail watchdog layered
-// over the model's decisions.
+// DeployGuarded: it runs the controller closed-loop over one trace, on the
+// cycle model, with optional fault injection and the optional guardrail
+// watchdog layered over the model's decisions.
 //
 // Fault semantics mirror real silicon: telemetry faults corrupt only what
 // the controller *observes* (execution and power accounting always use
@@ -47,6 +98,28 @@ var (
 // SLA violations measure the system).
 func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
+	return deploy("deploy/", g, tr, ref, pm, opts, func() intervalSource {
+		cfg.Interval = g.Interval // snapshot at the controller's interval
+		return &cycleSource{run: dataset.NewRunner(tr, cfg, uarch.ModeHighPerf), derated: opts.Injector != nil}
+	})
+}
+
+// DeployOnModel runs the same closed loop as DeployWithOptions — decision
+// pipeline, guardrail, fault injection, deployment RNG, flight recorder,
+// events and counters — with per-interval vectors from im instead of the
+// cycle model, so with a perfect model the result is identical. Its
+// events are scoped "replay/<trace>", apart from the exact path's
+// "deploy/<trace>", so one run can hold both for the same trace.
+func DeployOnModel(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
+	pm *power.Model, opts DeployOptions, im IntervalModel) (*GuardedDeploymentResult, error) {
+	return deploy("replay/", g, tr, ref, pm, opts, func() intervalSource { return modelSource{im} })
+}
+
+// deploy is the closed loop behind both entry points. open is called once
+// the arguments are validated and returns the interval source, already
+// warmed up, in high-performance mode.
+func deploy(scopePrefix string, g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
+	pm *power.Model, opts DeployOptions, open func() intervalSource) (*GuardedDeploymentResult, error) {
 	if tr.Name != ref.TraceName {
 		return nil, fmt.Errorf("core: trace %q does not match telemetry %q", tr.Name, ref.TraceName)
 	}
@@ -68,7 +141,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 	// load. Everything recorded is derived from sim state — the interval
 	// index is the clock — so event files are identical at any worker
 	// count.
-	scope := "deploy/" + tr.Name
+	scope := scopePrefix + tr.Name
 	var flight *obs.Flight
 	if obs.EventsActive() {
 		flight = obs.NewFlight(scope, obs.DefaultFlightCap)
@@ -76,24 +149,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 	tripsSeen := 0
 	var injectedSeen int64
 
-	core := uarch.NewCoreInMode(cfg.Core, uarch.ModeHighPerf)
-	s := trace.NewStream(tr)
-	buf := make([]trace.Instruction, g.Interval)
-
-	// Warmup without recording, as during dataset generation.
-	for done := 0; done < cfg.Warmup; {
-		n := cfg.Warmup - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		kk := s.Read(buf[:n])
-		if kk == 0 {
-			break
-		}
-		core.Execute(buf[:kk])
-		done += kk
-	}
-
+	src := open()
 	res := &GuardedDeploymentResult{}
 	rng := newDeployRNG(tr.Seed)
 	nWindows := ref.Intervals() / k
@@ -106,14 +162,16 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 	}
 
 	var window [][]float64
-	prev := core.Events()
 	var prevTrue, prevObserved []float64
 	lowIntervals, totalIntervals := 0, 0
 	// pending[w] is the mode decided for window w (two windows ahead).
 	pending := make(map[int]uarch.Mode)
 	prevPred := 0
 	gidx := 0 // global interval index, the fault schedule's clock
+	mode := uarch.ModeHighPerf
+	sinceSwitch := SteadySinceSwitch
 
+windows:
 	for w := 0; w < nWindows; w++ {
 		// Apply the decision made two windows ago (Figure 3 pipeline),
 		// overridden to the safe mode while the guardrail backoff holds.
@@ -121,13 +179,15 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			if state != nil && state.backoff > 0 {
 				m = uarch.ModeHighPerf
 			}
-			if m != core.Mode() {
+			if m != mode {
 				res.Switches++
+				mode = m
+				sinceSwitch = 0
 			}
-			core.SetMode(m)
 			delete(pending, w)
 		}
-		if core.Mode() == uarch.ModeLowPower {
+		gated := mode == uarch.ModeLowPower
+		if gated {
 			applied[w] = 1
 		} else {
 			applied[w] = 0
@@ -144,17 +204,11 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			derate := 1.0
 			if ti != nil {
 				derate = ti.MemDerate(gidx)
-				core.SetMemDerate(derate)
 			}
-			kk := s.Read(buf)
-			if kk == 0 {
-				break
+			trueBase, ok := src.next(gidx, mode, derate, sinceSwitch)
+			if !ok {
+				break windows // a partial window makes no prediction
 			}
-			core.Execute(buf[:kk])
-			cur := core.Events()
-			delta := cur.Sub(prev)
-			prev = cur
-			trueBase := telemetry.ExtractBase(delta)
 			observed := trueBase
 			if ti != nil {
 				o, _, dropped := ti.Telemetry(gidx, trueBase, prevTrue)
@@ -169,8 +223,8 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			window = append(window, observed)
 			// Power accounting always follows true execution: faults
 			// corrupt the telemetry fabric, not the pipeline.
-			res.Adaptive.Add(pm, telemetry.BaseToEvents(trueBase), core.Mode())
-			gated := core.Mode() == uarch.ModeLowPower
+			ev := telemetry.BaseToEvents(trueBase)
+			res.Adaptive.Add(pm, ev, mode)
 			if gated {
 				lowIntervals++
 			}
@@ -179,13 +233,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 				state.tick()
 			}
 			if flight != nil {
-				sample := obs.FlightSample{
-					T:     int64(gidx),
-					Power: pm.Energy(telemetry.BaseToEvents(trueBase), core.Mode()),
-				}
-				if delta.Cycles > 0 {
-					sample.IPC = float64(delta.Instrs) / float64(delta.Cycles)
-				}
+				sample := obs.FlightSample{T: int64(gidx), Power: pm.Energy(ev, mode), IPC: ev.IPC()}
 				if derate != 1 {
 					sample.MemDerate = derate
 				}
@@ -223,15 +271,15 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			prevObserved = observed
 			totalIntervals++
 			gidx++
-		}
-		if len(window) < k {
-			break
+			if sinceSwitch < SteadySinceSwitch {
+				sinceSwitch++
+			}
 		}
 
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
 			agg, per := g.windowVectors(window, rng)
-			pred := g.decide(core.Mode(), agg, per)
+			pred := g.decide(mode, agg, per)
 			if ti != nil {
 				if windowDropped {
 					// No fresh snapshot arrived: the controller cannot

@@ -93,44 +93,65 @@ func SimulateTrace(tr *trace.Trace, cfg Config) *TraceTelemetry {
 }
 
 func recordMode(tr *trace.Trace, cfg Config, mode uarch.Mode) []IntervalRecord {
-	core := uarch.NewCoreInMode(cfg.Core, mode)
-	s := trace.NewStream(tr)
-	buf := make([]trace.Instruction, cfg.Interval)
-
-	// Warmup: execute without recording.
-	for done := 0; done < cfg.Warmup; {
-		n := cfg.Warmup - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		k := s.Read(buf[:n])
-		if k == 0 {
-			break
-		}
-		core.Execute(buf[:k])
-		done += k
-	}
-
+	r := NewRunner(tr, cfg, mode)
 	var out []IntervalRecord
-	prev := core.Events()
 	for {
-		k := s.Read(buf)
-		if k == 0 {
-			break
-		}
-		core.Execute(buf[:k])
-		if k < cfg.Interval {
+		base, n := r.Next()
+		if n < cfg.Interval {
 			break // partial tail interval is discarded
 		}
-		cur := core.Events()
-		delta := cur.Sub(prev)
-		prev = cur
-		out = append(out, IntervalRecord{
-			Base: telemetry.ExtractBase(delta),
-			IPC:  delta.IPC(),
-		})
+		out = append(out, IntervalRecord{Base: base, IPC: telemetry.BaseToEvents(base).IPC()})
 	}
 	return out
+}
+
+// Runner plays one trace through the cycle model one interval at a time,
+// after warming the core up without recording. It is the one place that
+// executes a trace for telemetry: recording, closed-loop deployment and
+// surrogate training all step through it. Callers may switch Core's mode
+// or DRAM derate between intervals.
+type Runner struct {
+	Core *uarch.Core
+	s    *trace.Stream
+	buf  []trace.Instruction
+	prev uarch.Events
+}
+
+// NewRunner returns a Runner for tr on a core pinned to mode, warmed up by
+// cfg.Warmup instructions; each Next covers cfg.Interval instructions.
+func NewRunner(tr *trace.Trace, cfg Config, mode uarch.Mode) *Runner {
+	r := &Runner{
+		Core: uarch.NewCoreInMode(cfg.Core, mode),
+		s:    trace.NewStream(tr),
+		buf:  make([]trace.Instruction, cfg.Interval),
+	}
+	for done := 0; done < cfg.Warmup; {
+		n := min(cfg.Warmup-done, len(r.buf))
+		k := r.s.Read(r.buf[:n])
+		if k == 0 {
+			break
+		}
+		r.Core.Execute(r.buf[:k])
+		done += k
+	}
+	r.prev = r.Core.Events()
+	return r
+}
+
+// Next executes the next interval and returns its base-signal vector
+// (telemetry.ExtractBase of the event delta) and its instruction count.
+// The count falls short of the interval only for the trace's tail, and is
+// 0, with a nil vector, once the trace has run dry.
+func (r *Runner) Next() (base []float64, n int) {
+	n = r.s.Read(r.buf)
+	if n == 0 {
+		return nil, 0
+	}
+	r.Core.Execute(r.buf[:n])
+	cur := r.Core.Events()
+	base = telemetry.ExtractBase(cur.Sub(r.prev))
+	r.prev = cur
+	return base, n
 }
 
 // SimulateCorpus records every trace of a corpus, fanning traces out over

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // BarChart renders horizontal bars (e.g. Figure 7's per-benchmark
@@ -137,9 +138,21 @@ func (c *ScatterChart) WriteSVG(w io.Writer) error {
 	return err
 }
 
+// escape makes s safe as SVG text or attribute content.
 func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return markup.Replace(strings.Map(xmlChar, s))
+}
+
+var markup = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+// xmlChar replaces the runes XML 1.0 forbids in a document — C0 controls
+// other than tab, LF and CR, and U+FFFE/U+FFFF — with U+FFFD, the rune
+// strings.Map already substitutes for invalid UTF-8.
+func xmlChar(r rune) rune {
+	if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
+		return utf8.RuneError
+	}
+	return r
 }
 
 func minf(a, b float64) float64 {

@@ -40,6 +40,7 @@ func TestScatterChartSVG(t *testing.T) {
 		Points: []ScatterPoint{
 			{Label: "best-rf", X: 0.3, Y: 21.9},
 			{Label: "charstar", X: 10.9, Y: 18.4},
+			{Label: "ctrl\x04char", X: 5, Y: 20}, // XML forbids U+0004
 		},
 	}
 	var sb strings.Builder
@@ -47,10 +48,13 @@ func TestScatterChartSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"best-rf", "charstar", "circle", "RSV"} {
+	for _, want := range []string{"best-rf", "charstar", "circle", "RSV", "ctrl\uFFFDchar"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scatter missing %q", want)
 		}
+	}
+	if err := wellFormed([]byte(out)); err != nil {
+		t.Errorf("malformed SVG: %v", err)
 	}
 }
 

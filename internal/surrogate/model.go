@@ -65,15 +65,15 @@ func (m *Model) Residual(f []float64) float64 {
 
 // Replay runs one closed-loop deployment on the surrogate fast path,
 // regardless of oracle mode: spliced recorded intervals corrected by the
-// model's residual, driven through core.ReplayDeploy. The caller is
-// responsible for fingerprint checks (Oracle.Deploy does both).
+// model's residual, driven through core.DeployOnModel, the exact path's
+// own closed loop. The caller is responsible for fingerprint checks
+// (Oracle.Deploy does both).
 func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts core.DeployOptions) (*core.GuardedDeploymentResult, error) {
 	if m != nil && m.FeatureVersion != FeatureVersion {
 		return nil, fmt.Errorf("surrogate: model feature schema v%d, package is v%d", m.FeatureVersion, FeatureVersion)
 	}
-	tm := &traceModel{m: m, ref: ref, core: cfg.Core}
-	return core.ReplayDeploy(g, tr, ref, cfg, pm, opts, tm)
+	return core.DeployOnModel(g, tr, ref, pm, opts, &traceModel{m: m, ref: ref, core: cfg.Core})
 }
 
 // traceModel adapts one trace's recorded fixed-mode telemetry plus the

@@ -1,10 +1,14 @@
 package surrogate
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"clustergate/internal/core"
@@ -12,6 +16,8 @@ import (
 	"clustergate/internal/fault"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/linear"
+	"clustergate/internal/obs"
+	"clustergate/internal/parallel"
 	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
@@ -105,27 +111,179 @@ func trainTestModel(t *testing.T, c *trace.Corpus, tel []*dataset.TraceTelemetry
 	return m
 }
 
-// TestReplayMatchesExactWithoutSwitches locks the transliteration: with a
-// never-gating controller, no faults, and a pure-analytic model the
-// spliced replay IS the recordings, so every field of the result must
-// equal the exact simulator's.
+// TestReplayMatchesExactWithoutSwitches locks the shared deploy loop: with
+// a never-gating controller and a pure-analytic model the spliced replay
+// IS the recordings, so every field of the result must equal the exact
+// simulator's — with the guardrail off or on, and under telemetry faults,
+// which corrupt only what the controller observes. Faults that change
+// decisions or execution (prediction pins, DRAM derate) are out of scope.
 func TestReplayMatchesExactWithoutSwitches(t *testing.T) {
 	c, tel, cfg := testCorpus(t)
 	g := testController(t, cfg, constScorer{v: 0})
 	pm := power.DefaultModel()
 	pure := &Model{FeatureVersion: FeatureVersion, Fingerprint: Fingerprint(cfg)}
-	for i, tr := range c.Traces {
-		exact, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, core.DeployOptions{})
-		if err != nil {
+	plans := []struct {
+		name  string
+		rules []fault.Rule
+	}{
+		{"no-fault", nil},
+		{"telemetry-drop", []fault.Rule{{Class: fault.TelemetryDrop, Rate: 0.1, Burst: 3}}},
+		{"telemetry-freeze", []fault.Rule{{Class: fault.CounterFreeze, Rate: 0.1, Burst: 3}}},
+	}
+	for _, guard := range []bool{false, true} {
+		for _, p := range plans {
+			t.Run(fmt.Sprintf("guard=%v/%s", guard, p.name), func(t *testing.T) {
+				var opts core.DeployOptions
+				if guard {
+					gr := core.DefaultGuardrail()
+					opts.Guardrail = &gr
+				}
+				if p.rules != nil {
+					inj, err := fault.NewInjector(fault.Plan{Seed: 5, Rules: p.rules})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Injector = inj
+				}
+				var injected int64
+				trips := 0
+				for i, tr := range c.Traces {
+					exact, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := pure.Replay(g, tr, tel[i], cfg, pm, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(exact, rep) {
+						t.Fatalf("%s: replay diverged from exact without switches:\nexact  %+v\nreplay %+v", tr.Name, exact, rep)
+					}
+					injected += exact.InjectedFaults
+					trips += exact.GuardrailTrips
+				}
+				if p.rules != nil && injected == 0 {
+					t.Error("fault plan injected nothing: the case is vacuous")
+				}
+				if guard && p.rules != nil && trips == 0 {
+					t.Error("guardrail never tripped under telemetry faults: the case is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// trippingOpts returns deploy options under which the guardrail trips on
+// every test trace: bursts of dropped telemetry read as implausible.
+func trippingOpts(t *testing.T) core.DeployOptions {
+	t.Helper()
+	inj, err := fault.NewInjector(fault.Plan{Seed: 3, Rules: []fault.Rule{
+		{Class: fault.TelemetryDrop, Rate: 0.2, Burst: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := core.DefaultGuardrail()
+	return core.DeployOptions{Guardrail: &gr, Injector: inj}
+}
+
+// withEventLog runs f with a fresh process event log installed and returns
+// what it collected.
+func withEventLog(f func()) *obs.EventLog {
+	l := obs.NewEventLog()
+	obs.SetEventLog(l)
+	defer obs.SetEventLog(nil)
+	f()
+	return l
+}
+
+// attrKeys maps each event kind under the scope prefix to its sorted
+// attribute keys; every event of a kind must carry the same keys.
+func attrKeys(t *testing.T, l *obs.EventLog, prefix string) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for _, ev := range l.Events() {
+		if !strings.HasPrefix(ev.Scope, prefix) {
+			continue
+		}
+		keys := make([]string, 0, len(ev.Attrs))
+		for k := range ev.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if prev, ok := out[ev.Kind]; ok && !reflect.DeepEqual(prev, keys) {
+			t.Errorf("%s %s: attribute keys %v, earlier %v", ev.Scope, ev.Kind, keys, prev)
+		}
+		out[ev.Kind] = keys
+	}
+	return out
+}
+
+// TestReplayEmitsExactPathEvents: a guardrail-tripping surrogate replay
+// records the same flight-recorder incidents and events as the exact
+// path, under its own "replay/" scope.
+func TestReplayEmitsExactPathEvents(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	g := testController(t, cfg, waveScorer{})
+	pm := power.DefaultModel()
+	m := trainTestModel(t, c, tel, cfg)
+	opts := trippingOpts(t)
+	var trips int
+	l := withEventLog(func() {
+		for i, tr := range c.Traces {
+			if _, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, opts); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := m.Replay(g, tr, tel[i], cfg, pm, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trips += rep.GuardrailTrips
+		}
+	})
+	if trips == 0 {
+		t.Fatal("replays never tripped the guardrail")
+	}
+	exact, replay := attrKeys(t, l, "deploy/"), attrKeys(t, l, "replay/")
+	for _, kind := range []string{"guardrail.trip", "guardrail.incident", "fault.injected"} {
+		if replay[kind] == nil {
+			t.Errorf("replay emitted no %s event", kind)
+		} else if !reflect.DeepEqual(exact[kind], replay[kind]) {
+			t.Errorf("%s attribute keys: exact %v, replay %v", kind, exact[kind], replay[kind])
+		}
+	}
+}
+
+// TestReplayEventLogWorkerDeterminism: validate-mode deployments — a
+// replay plus an exact spot check per trace, both recording events — write
+// a byte-identical event log at workers 1 and 4.
+func TestReplayEventLogWorkerDeterminism(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	g := testController(t, cfg, waveScorer{})
+	pm := power.DefaultModel()
+	m := trainTestModel(t, c, tel, cfg)
+	opts := trippingOpts(t)
+	render := func(workers int) []byte {
+		o := NewOracle(m, core.SimValidate, OracleOptions{SampleRate: 1})
+		l := withEventLog(func() {
+			if _, err := parallel.Map(workers, len(c.Traces), func(i int) (*core.GuardedDeploymentResult, error) {
+				return o.Deploy(g, c.Traces[i], tel[i], cfg, pm, opts)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var buf bytes.Buffer
+		if err := l.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := pure.Replay(g, tr, tel[i], cfg, pm, core.DeployOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exact, rep) {
-			t.Fatalf("%s: replay diverged from exact without switches:\nexact  %+v\nreplay %+v", tr.Name, exact, rep)
-		}
+		return buf.Bytes()
+	}
+	w1, w4 := render(1), render(4)
+	if !bytes.Contains(w1, []byte(`"scope":"replay/`)) || !bytes.Contains(w1, []byte(`"scope":"deploy/`)) {
+		t.Fatal("event log lacks replay or exact spot-check events")
+	}
+	if !bytes.Equal(w1, w4) {
+		t.Fatalf("event log differs between workers 1 (%d bytes) and 4 (%d bytes)", len(w1), len(w4))
 	}
 }
 

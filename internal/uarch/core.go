@@ -153,12 +153,7 @@ type Core struct {
 	mp      modeParams
 	cc      coreConsts
 	opLUT   [256]uint32
-	scratch execScratch
-
-	// probeDone signals completion of this core's in-flight probe-pass job
-	// on the shared probe pool (see pipeline.go). At most one job per core
-	// is ever outstanding, so capacity 1 means neither side blocks.
-	probeDone chan struct{}
+	scratch probeBuf
 }
 
 // NewCore returns a core in high-performance mode.
@@ -167,13 +162,12 @@ func NewCore(cfg Config) *Core { return NewCoreInMode(cfg, ModeHighPerf) }
 // NewCoreInMode returns a core pinned to an initial mode.
 func NewCoreInMode(cfg Config, m Mode) *Core {
 	c := &Core{
-		cfg:       cfg,
-		mode:      m,
-		icache:    NewCache(cfg.L1I),
-		uopCache:  NewCache(cfg.UopCache),
-		itlb:      NewCache(cfg.ITLB),
-		bp:        NewPredictor(),
-		probeDone: make(chan struct{}, 1),
+		cfg:      cfg,
+		mode:     m,
+		icache:   NewCache(cfg.L1I),
+		uopCache: NewCache(cfg.UopCache),
+		itlb:     NewCache(cfg.ITLB),
+		bp:       NewPredictor(),
 	}
 	c.hier = NewHierarchy(&c.cfg)
 	c.lastBlock = ^uint64(0)
@@ -293,16 +287,6 @@ const execChunk = 2048
 // on the instruction stream — never on timing — so the split is exact:
 // counters are byte-identical to per-instruction interleaved execution at
 // any batch size.
-//
-// The split also makes the passes independent across adjacent chunks: the
-// probe pass for chunk k+1 touches only cache, predictor, and I-side state
-// while the timing pass for chunk k touches only cycle rings and queue
-// clocks, and the two write disjoint Events fields. Multi-chunk batches
-// therefore run as a two-stage pipeline — chunk k+1 probes on a shared
-// worker goroutine (pipeline.go) while chunk k is being priced here — with
-// double-buffered scratch and per-chunk handoff through channels. Every
-// pass still sees every instruction in program order, so counters remain
-// byte-identical to the serial schedule.
 func (c *Core) Execute(batch []trace.Instruction) {
 	if len(batch) == 0 {
 		return
@@ -312,41 +296,16 @@ func (c *Core) Execute(batch []trace.Instruction) {
 	t0 := time.Now()
 	c.scratch.grow(execChunk)
 
-	if total > execChunk && probePoolReady() {
-		c.executePipelined(batch)
-	} else {
-		for len(batch) > 0 {
-			n := min(len(batch), execChunk)
-			chunk := batch[:n]
-			c.probePass(chunk, &c.scratch.buf[0])
-			c.timingPass(chunk, &c.scratch.buf[0])
-			batch = batch[n:]
-		}
+	for len(batch) > 0 {
+		n := min(len(batch), execChunk)
+		chunk := batch[:n]
+		c.probePass(chunk, &c.scratch)
+		c.timingPass(chunk, &c.scratch)
+		batch = batch[n:]
 	}
 	executeLatency.Observe(time.Since(t0))
 	instrsSimulated.Add(int64(total))
 	cyclesSimulated.Add(int64(c.retireMax - before))
-}
-
-// executePipelined overlaps chunk k+1's probe pass with chunk k's timing
-// pass. At most one probe job per core is in flight, which serialises all
-// cache and predictor mutations in program order; the received probeDone
-// signal orders each buffer's writes before the timing pass reads them.
-func (c *Core) executePipelined(batch []trace.Instruction) {
-	k := 0
-	probeJobs <- probeJob{c: c, batch: batch[:execChunk], buf: &c.scratch.buf[0]}
-	for len(batch) > 0 {
-		n := min(len(batch), execChunk)
-		chunk := batch[:n]
-		<-c.probeDone
-		if rest := batch[n:]; len(rest) > 0 {
-			m := min(len(rest), execChunk)
-			probeJobs <- probeJob{c: c, batch: rest[:m], buf: &c.scratch.buf[(k+1)&1]}
-		}
-		c.timingPass(chunk, &c.scratch.buf[k&1])
-		batch = batch[n:]
-		k++
-	}
 }
 
 // timingPass assigns fetch, ready, issue, and completion cycles to every

@@ -67,24 +67,16 @@ type probeBuf struct {
 	word []uint64 // bubble<<8 | mem class | legacy-decode | mispredict bits
 }
 
-// execScratch holds two probe buffers so the probe pass for chunk k+1 can
-// run concurrently with the timing pass for chunk k (see Execute). The
-// buffers are grown once to the chunk size and reused for every subsequent
-// Execute call, so steady-state execution performs no heap allocations
-// (pinned by TestExecuteZeroAllocs).
-type execScratch struct {
-	buf [2]probeBuf
-}
-
-func (s *execScratch) grow(n int) {
-	for i := range s.buf {
-		b := &s.buf[i]
-		if cap(b.word) < n {
-			b.word = make([]uint64, n)
-			continue
-		}
-		b.word = b.word[:n]
+// grow sizes the buffer for an n-instruction chunk. It is grown once to
+// the chunk size and reused for every subsequent Execute call, so
+// steady-state execution performs no heap allocations (pinned by
+// TestExecuteZeroAllocs).
+func (b *probeBuf) grow(n int) {
+	if cap(b.word) < n {
+		b.word = make([]uint64, n)
+		return
 	}
+	b.word = b.word[:n]
 }
 
 // probePass walks the chunk once in program order, resolving everything
@@ -96,10 +88,7 @@ func (s *execScratch) grow(n int) {
 // instruction's front-end bubble and condition bits land in buf; op-mix
 // and branch events accumulate locally. Cache and predictor state depend
 // only on the instruction stream, never on timing, which is what makes
-// hoisting this pass out of the timing loop exact — and what lets Execute
-// run it on a separate goroutine from the timing pass: the two touch
-// disjoint Core state (caches/predictor/I-side vs. cycle rings) and
-// disjoint Events fields.
+// hoisting this pass out of the timing loop exact.
 func (c *Core) probePass(batch []trace.Instruction, s *probeBuf) {
 	h := c.hier
 	bp := c.bp

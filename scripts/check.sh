@@ -29,7 +29,7 @@ echo "== go test -race (worker pool + observability + robustness packages)"
 # headroom beyond go test's default 10m timeout.
 go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
-    ./internal/ctrlplane/... ./cmd/obsdiff/...
+    ./internal/ctrlplane/... ./internal/surrogate/... ./cmd/obsdiff/...
 
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.
