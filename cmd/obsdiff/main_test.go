@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clustergate/internal/obs"
 )
 
 // writeDoc drops a JSON document into the test dir and returns its path.
@@ -26,15 +28,57 @@ func diff(t *testing.T, args ...string) (int, string) {
 	return code, out.String() + errb.String()
 }
 
-const uarchBase = `{"schema":"uarch-bench/v1","benchmarks":{
-	"A":{"ns_per_op":1000,"ns_per_instr":10,"allocs_per_op":0},
-	"B":{"ns_per_op":2000,"ns_per_instr":20,"allocs_per_op":3}}}`
+// metric is one envelope metric of a test fixture.
+type metric struct {
+	key   string
+	value float64
+	gate  obs.Gate
+	tol   obs.Tol
+}
+
+// envelope renders a bench envelope the way the producers write it.
+func envelope(t *testing.T, name string, ms []metric) string {
+	t.Helper()
+	b := obs.NewBench(name, nil)
+	for _, m := range ms {
+		b.Set(m.key, m.value, "", m.gate, m.tol)
+	}
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// with returns a copy of ms with the given values replaced.
+func with(ms []metric, values map[string]float64) []metric {
+	out := append([]metric(nil), ms...)
+	for i := range out {
+		if v, ok := values[out[i].key]; ok {
+			out[i].value = v
+		}
+	}
+	return out
+}
+
+// uarchBench declares one benchmark's metrics as scripts/uarch-bench-json.go
+// does: per-op and per-instruction time lower-better at the timing
+// tolerance, allocations exact at the counter tolerance.
+func uarchBench(name string, nsPerOp, nsPerInstr, allocs float64) []metric {
+	return []metric{
+		{name + ".ns_per_op", nsPerOp, obs.GateLowerBetter, obs.TolTiming},
+		{name + ".ns_per_instr", nsPerInstr, obs.GateLowerBetter, obs.TolTiming},
+		{name + ".allocs_per_op", allocs, obs.GateExact, obs.TolCounter},
+	}
+}
+
+func uarchBase() []metric {
+	return append(uarchBench("A", 1000, 10, 0), uarchBench("B", 2000, 20, 3)...)
+}
 
 func TestUarchClean(t *testing.T) {
-	base := writeDoc(t, "base.json", uarchBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"uarch-bench/v1","benchmarks":{
-		"A":{"ns_per_op":1100,"ns_per_instr":11,"allocs_per_op":0},
-		"B":{"ns_per_op":1500,"ns_per_instr":15,"allocs_per_op":3}}}`)
+	base := writeDoc(t, "base.json", envelope(t, "uarch", uarchBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "uarch", append(uarchBench("A", 1100, 11, 0), uarchBench("B", 1500, 15, 3)...)))
 	code, out := diff(t, "-tol", "0.5", base, cur)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0:\n%s", code, out)
@@ -42,10 +86,8 @@ func TestUarchClean(t *testing.T) {
 }
 
 func TestUarchTimingRegression(t *testing.T) {
-	base := writeDoc(t, "base.json", uarchBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"uarch-bench/v1","benchmarks":{
-		"A":{"ns_per_op":5000,"ns_per_instr":50,"allocs_per_op":0},
-		"B":{"ns_per_op":2000,"ns_per_instr":20,"allocs_per_op":3}}}`)
+	base := writeDoc(t, "base.json", envelope(t, "uarch", uarchBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "uarch", append(uarchBench("A", 5000, 50, 0), uarchBench("B", 2000, 20, 3)...)))
 	code, out := diff(t, "-tol", "0.5", base, cur)
 	if code != 1 || !strings.Contains(out, "A.ns_per_op") {
 		t.Fatalf("exit %d:\n%s", code, out)
@@ -53,10 +95,8 @@ func TestUarchTimingRegression(t *testing.T) {
 }
 
 func TestUarchAllocRegressionExact(t *testing.T) {
-	base := writeDoc(t, "base.json", uarchBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"uarch-bench/v1","benchmarks":{
-		"A":{"ns_per_op":1000,"ns_per_instr":10,"allocs_per_op":1},
-		"B":{"ns_per_op":2000,"ns_per_instr":20,"allocs_per_op":3}}}`)
+	base := writeDoc(t, "base.json", envelope(t, "uarch", uarchBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "uarch", append(uarchBench("A", 1000, 10, 1), uarchBench("B", 2000, 20, 3)...)))
 	code, out := diff(t, base, cur)
 	if code != 1 || !strings.Contains(out, "A.allocs_per_op") {
 		t.Fatalf("alloc growth must regress: exit %d:\n%s", code, out)
@@ -64,10 +104,8 @@ func TestUarchAllocRegressionExact(t *testing.T) {
 }
 
 func TestUarchMissingBenchmarkWarnsOnly(t *testing.T) {
-	base := writeDoc(t, "base.json", uarchBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"uarch-bench/v1","benchmarks":{
-		"A":{"ns_per_op":1000,"ns_per_instr":10,"allocs_per_op":0},
-		"C":{"ns_per_op":1,"ns_per_instr":1,"allocs_per_op":0}}}`)
+	base := writeDoc(t, "base.json", envelope(t, "uarch", uarchBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "uarch", append(uarchBench("A", 1000, 10, 0), uarchBench("C", 1, 1, 0)...)))
 	code, out := diff(t, base, cur)
 	if code != 0 || !strings.Contains(out, "WARN") {
 		t.Fatalf("one-sided benchmarks must warn, not fail: exit %d:\n%s", code, out)
@@ -130,97 +168,114 @@ func TestManifestWallSecondsWarnOnly(t *testing.T) {
 	}
 }
 
-const ctrlplaneBase = `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-	"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":5,
-	"machines_per_sec":4000,"decisions_per_sec":200000,"p95_decision_ms":0.5,
-	"completed":true,"bad_caught":true}`
+// ctrlplaneBase declares the ctrlplane-soak bench document's gates as
+// paperbench writes them.
+func ctrlplaneBase() []metric {
+	return []metric{
+		{"machines", 10000, obs.GateExact, obs.TolCounter},
+		{"shards", 8, obs.GateExact, obs.TolCounter},
+		{"ticks", 30, obs.GateExact, obs.TolCounter},
+		{"intervals", 500000, obs.GateExact, obs.TolCounter},
+		{"decisions", 500010, obs.GateExact, obs.TolCounter},
+		{"machines_per_sec", 4000, obs.GateHigherBetter, obs.TolTiming},
+		{"decisions_per_sec", 200000, obs.GateHigherBetter, obs.TolTiming},
+		{"p95_decision_ms", 0.5, obs.GateLowerBetter, obs.TolTiming},
+		{"wall_seconds", 5, obs.GateWarn, obs.TolTiming},
+		{"completed", 1, obs.GateVerdict, obs.TolMetric},
+		{"bad_caught", 1, obs.GateVerdict, obs.TolMetric},
+	}
+}
 
 func TestCtrlplaneThroughputDropFails(t *testing.T) {
-	base := writeDoc(t, "base.json", ctrlplaneBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-		"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":20,
-		"machines_per_sec":1000,"decisions_per_sec":50000,"p95_decision_ms":0.5,
-		"completed":true,"bad_caught":true}`)
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-soak", ctrlplaneBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-soak", with(ctrlplaneBase(), map[string]float64{
+		"wall_seconds": 20, "machines_per_sec": 1000, "decisions_per_sec": 50000})))
 	code, out := diff(t, "-tol", "0.5", base, cur)
 	if code != 1 || !strings.Contains(out, "machines_per_sec") || !strings.Contains(out, "decisions_per_sec") {
 		t.Fatalf("throughput drop must regress: exit %d:\n%s", code, out)
 	}
 	// Faster is never a regression: quadruple throughput, clean exit.
-	cur2 := writeDoc(t, "cur2.json", `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-		"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":1,
-		"machines_per_sec":16000,"decisions_per_sec":800000,"p95_decision_ms":0.1,
-		"completed":true,"bad_caught":true}`)
+	cur2 := writeDoc(t, "cur2.json", envelope(t, "ctrlplane-soak", with(ctrlplaneBase(), map[string]float64{
+		"wall_seconds": 1, "machines_per_sec": 16000, "decisions_per_sec": 800000, "p95_decision_ms": 0.1})))
 	if code, out := diff(t, "-tol", "0.5", base, cur2); code != 0 {
 		t.Fatalf("speedup flagged: exit %d:\n%s", code, out)
 	}
 }
 
 func TestCtrlplaneLatencyAndVolumeGates(t *testing.T) {
-	base := writeDoc(t, "base.json", ctrlplaneBase)
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-soak", ctrlplaneBase()))
 	// p95 decision latency blowing past the timing tolerance fails.
-	cur := writeDoc(t, "cur.json", `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-		"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":5,
-		"machines_per_sec":4000,"decisions_per_sec":200000,"p95_decision_ms":5,
-		"completed":true,"bad_caught":true}`)
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-soak", with(ctrlplaneBase(), map[string]float64{"p95_decision_ms": 5})))
 	code, out := diff(t, "-tol", "0.5", base, cur)
 	if code != 1 || !strings.Contains(out, "p95_decision_ms") {
 		t.Fatalf("latency growth must regress: exit %d:\n%s", code, out)
 	}
 	// Deterministic volume fields drifting fails at the counter tolerance.
-	cur2 := writeDoc(t, "cur2.json", `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-		"ticks":30,"intervals":499000,"decisions":500010,"wall_seconds":5,
-		"machines_per_sec":4000,"decisions_per_sec":200000,"p95_decision_ms":0.5,
-		"completed":true,"bad_caught":true}`)
+	cur2 := writeDoc(t, "cur2.json", envelope(t, "ctrlplane-soak", with(ctrlplaneBase(), map[string]float64{"intervals": 499000})))
 	if code, out := diff(t, base, cur2); code != 1 || !strings.Contains(out, "intervals") {
 		t.Fatalf("interval drift must regress: exit %d:\n%s", code, out)
 	}
 }
 
 func TestCtrlplaneVerdictFlipFails(t *testing.T) {
-	base := writeDoc(t, "base.json", ctrlplaneBase)
-	cur := writeDoc(t, "cur.json", `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":8,
-		"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":5,
-		"machines_per_sec":4000,"decisions_per_sec":200000,"p95_decision_ms":0.5,
-		"completed":true,"bad_caught":false}`)
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-soak", ctrlplaneBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-soak", with(ctrlplaneBase(), map[string]float64{"bad_caught": 0})))
 	code, out := diff(t, base, cur)
 	if code != 1 || !strings.Contains(out, "bad_caught") {
 		t.Fatalf("bad_caught flip must regress: exit %d:\n%s", code, out)
 	}
 }
 
-const churnBase = `{"schema":"ctrlplane-churn-bench/v1","machines":2000,
-	"arms":[
-		{"key":"churn05-lease2","churn_rate":0.05,"lease_ticks":2,"completed":true,
-		 "completion_rate":0.97,"leaves":40,"joins":60,"catch_up_flashes":35,
-		 "stale_quarantines":12,"gate_deferrals":2},
-		{"key":"churn10-lease4","churn_rate":0.10,"lease_ticks":4,"completed":true,
-		 "completion_rate":0.95,"leaves":80,"joins":120,"catch_up_flashes":70,
-		 "stale_quarantines":5,"gate_deferrals":1}],
-	"good_completed":true,"bad_caught":true,"wall_seconds":8,"p95_decision_ms":0.4}`
+// churnArm declares one ctrlplane-churn arm's gates as paperbench writes
+// them.
+func churnArm(key string, rate, lease, completion, leaves, joins, catchUp, stale, deferrals float64) []metric {
+	return []metric{
+		{key + ".churn_rate", rate, obs.GateExact, obs.TolMetric},
+		{key + ".lease_ticks", lease, obs.GateExact, obs.TolMetric},
+		{key + ".completed", 1, obs.GateVerdict, obs.TolMetric},
+		{key + ".completion_rate", completion, obs.GateHigherBetter, obs.TolMetric},
+		{key + ".leaves", leaves, obs.GateExact, obs.TolCounter},
+		{key + ".joins", joins, obs.GateExact, obs.TolCounter},
+		{key + ".catch_up_flashes", catchUp, obs.GateExact, obs.TolCounter},
+		{key + ".stale_quarantines", stale, obs.GateExact, obs.TolCounter},
+		{key + ".gate_deferrals", deferrals, obs.GateExact, obs.TolCounter},
+	}
+}
+
+func churnBase() []metric {
+	ms := append(churnArm("churn05-lease2", 0.05, 2, 0.97, 40, 60, 35, 12, 2),
+		churnArm("churn10-lease4", 0.10, 4, 0.95, 80, 120, 70, 5, 1)...)
+	return append(ms,
+		metric{"machines", 2000, obs.GateExact, obs.TolCounter},
+		metric{"good_completed", 1, obs.GateVerdict, obs.TolMetric},
+		metric{"bad_caught", 1, obs.GateVerdict, obs.TolMetric},
+		metric{"wall_seconds", 8, obs.GateWarn, obs.TolTiming},
+		metric{"p95_decision_ms", 0.4, obs.GateLowerBetter, obs.TolTiming})
+}
 
 func TestCtrlplaneChurnCompletionDropFails(t *testing.T) {
-	base := writeDoc(t, "base.json", churnBase)
-	cur := writeDoc(t, "cur.json", strings.Replace(churnBase, `"completion_rate":0.97`, `"completion_rate":0.40`, 1))
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-churn", churnBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"churn05-lease2.completion_rate": 0.40})))
 	code, out := diff(t, "-tol", "0.5", base, cur)
 	if code != 1 || !strings.Contains(out, "churn05-lease2.completion_rate") {
 		t.Fatalf("completion-rate drop must regress: exit %d:\n%s", code, out)
 	}
 	// Completion is a deterministic outcome gated at -mtol, not -tol: even
 	// a small drop regresses however coarse the timing tolerance.
-	cur3 := writeDoc(t, "cur3.json", strings.Replace(churnBase, `"completion_rate":0.97`, `"completion_rate":0.95`, 1))
+	cur3 := writeDoc(t, "cur3.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"churn05-lease2.completion_rate": 0.95})))
 	if code, out := diff(t, "-tol", "1.0", base, cur3); code != 1 || !strings.Contains(out, "completion_rate") {
 		t.Fatalf("small completion drop must regress at coarse -tol: exit %d:\n%s", code, out)
 	}
 	// A higher completion rate never flags.
-	cur2 := writeDoc(t, "cur2.json", strings.Replace(churnBase, `"completion_rate":0.95`, `"completion_rate":0.99`, 1))
+	cur2 := writeDoc(t, "cur2.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"churn10-lease4.completion_rate": 0.99})))
 	if code, out := diff(t, "-tol", "0.5", base, cur2); code != 0 {
 		t.Fatalf("completion gain flagged: exit %d:\n%s", code, out)
 	}
 }
 
 func TestCtrlplaneChurnCounterDriftFails(t *testing.T) {
-	base := writeDoc(t, "base.json", churnBase)
-	cur := writeDoc(t, "cur.json", strings.Replace(churnBase, `"stale_quarantines":12`, `"stale_quarantines":13`, 1))
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-churn", churnBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"churn05-lease2.stale_quarantines": 13})))
 	code, out := diff(t, base, cur)
 	if code != 1 || !strings.Contains(out, "churn05-lease2.stale_quarantines") {
 		t.Fatalf("liveness-count drift must regress at ctol 0: exit %d:\n%s", code, out)
@@ -228,16 +283,70 @@ func TestCtrlplaneChurnCounterDriftFails(t *testing.T) {
 }
 
 func TestCtrlplaneChurnVerdictFlipFails(t *testing.T) {
-	base := writeDoc(t, "base.json", churnBase)
-	cur := writeDoc(t, "cur.json", strings.Replace(churnBase, `"bad_caught":true`, `"bad_caught":false`, 1))
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-churn", churnBase()))
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"bad_caught": 0})))
 	code, out := diff(t, base, cur)
 	if code != 1 || !strings.Contains(out, "bad_caught") {
 		t.Fatalf("bad_caught flip must regress: exit %d:\n%s", code, out)
 	}
 	// Latency growth past tolerance fails one-sided.
-	cur2 := writeDoc(t, "cur2.json", strings.Replace(churnBase, `"p95_decision_ms":0.4`, `"p95_decision_ms":4`, 1))
+	cur2 := writeDoc(t, "cur2.json", envelope(t, "ctrlplane-churn", with(churnBase(), map[string]float64{"p95_decision_ms": 4})))
 	if code, out := diff(t, "-tol", "0.5", base, cur2); code != 1 || !strings.Contains(out, "p95_decision_ms") {
 		t.Fatalf("latency growth must regress: exit %d:\n%s", code, out)
+	}
+}
+
+// without returns a copy of ms minus the given keys.
+func without(ms []metric, keys ...string) []metric {
+	var out []metric
+	for _, m := range ms {
+		drop := false
+		for _, k := range keys {
+			drop = drop || m.key == k
+		}
+		if !drop {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func TestBenchDroppedMetricFails(t *testing.T) {
+	base := writeDoc(t, "base.json", envelope(t, "ctrlplane-churn", churnBase()))
+	// A verdict the producer stopped emitting is a regression, not a
+	// warning, and so is one field of an arm that is still reported.
+	for _, key := range []string{"bad_caught", "good_completed", "churn05-lease2.completion_rate", "churn10-lease4.completed"} {
+		cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-churn", without(churnBase(), key)))
+		if code, out := diff(t, base, cur); code != 1 || !strings.Contains(out, key) || !strings.Contains(out, "missing from current") {
+			t.Fatalf("dropped %s must regress: exit %d:\n%s", key, code, out)
+		}
+	}
+	// A dropped warn-only metric still only warns.
+	cur := writeDoc(t, "cur.json", envelope(t, "ctrlplane-churn", without(churnBase(), "wall_seconds")))
+	if code, out := diff(t, base, cur); code != 0 || !strings.Contains(out, "WARN") {
+		t.Fatalf("dropped warn metric must warn: exit %d:\n%s", code, out)
+	}
+	// Removing a whole arm is a configuration change: it warns.
+	var arm []string
+	for _, m := range churnBase() {
+		if strings.HasPrefix(m.key, "churn10-lease4.") {
+			arm = append(arm, m.key)
+		}
+	}
+	cur2 := writeDoc(t, "cur2.json", envelope(t, "ctrlplane-churn", without(churnBase(), arm...)))
+	if code, out := diff(t, base, cur2); code != 0 || !strings.Contains(out, "WARN") {
+		t.Fatalf("removed arm must warn, not fail: exit %d:\n%s", code, out)
+	}
+}
+
+func TestManifestMissingCounterWarnsOnly(t *testing.T) {
+	base := writeDoc(t, "base.json", manifestBase)
+	cur := writeDoc(t, "cur.json", `{"tool":"paperbench","seed":1,"wall_seconds":10,
+		"counters":{"dataset.cache.hits":7,"parallel.inflight.peak":4},
+		"histograms":{"uarch.execute.batch":{"count":100,"p50_ms":1,"p95_ms":2,"p99_ms":3}}}`)
+	code, out := diff(t, base, cur)
+	if code != 0 || !strings.Contains(out, "counters.core.deployments") {
+		t.Fatalf("a manifest counter only in the baseline must warn: exit %d:\n%s", code, out)
 	}
 }
 
@@ -268,15 +377,29 @@ func TestResultsSecondsWarnOnly(t *testing.T) {
 }
 
 func TestSchemaMismatch(t *testing.T) {
-	base := writeDoc(t, "base.json", uarchBase)
+	base := writeDoc(t, "base.json", envelope(t, "uarch", uarchBase()))
 	cur := writeDoc(t, "cur.json", resultsBase)
 	if code, _ := diff(t, base, cur); code != 2 {
 		t.Fatalf("schema mismatch must exit 2, got %d", code)
 	}
+	// Envelopes of two different benches are not comparable either.
+	other := writeDoc(t, "other.json", envelope(t, "ctrlplane-soak", ctrlplaneBase()))
+	if code, _ := diff(t, base, other); code != 2 {
+		t.Fatalf("bench name mismatch must exit 2, got %d", code)
+	}
+	// An envelope that fails validation is a schema error, not a diff.
+	bad := writeDoc(t, "bad.json", strings.Replace(envelope(t, "uarch", uarchBase()), `"exact"`, `"timing"`, 1))
+	if code, out := diff(t, base, bad); code != 2 || !strings.Contains(out, "unknown gate") {
+		t.Fatalf("invalid envelope must exit 2: exit %d:\n%s", code, out)
+	}
 }
 
 func TestIdenticalFilesClean(t *testing.T) {
-	for _, doc := range []string{uarchBase, manifestBase, resultsBase, ctrlplaneBase, churnBase} {
+	docs := []string{
+		envelope(t, "uarch", uarchBase()), manifestBase, resultsBase,
+		envelope(t, "ctrlplane-soak", ctrlplaneBase()), envelope(t, "ctrlplane-churn", churnBase()),
+	}
+	for _, doc := range docs {
 		base := writeDoc(t, "base.json", doc)
 		cur := writeDoc(t, "cur.json", doc)
 		if code, out := diff(t, base, cur); code != 0 {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"clustergate/internal/experiments"
@@ -27,7 +30,8 @@ func tinyScale() experiments.Scale {
 // TestCheckpointResumeByteIdentical is the crash-safety acceptance test:
 // a run killed mid-sweep and rerun with the same -checkpoint directory
 // produces stdout byte-identical to an uninterrupted run, and a fully
-// checkpointed rerun replays everything verbatim.
+// checkpointed rerun replays everything verbatim — bench documents
+// included.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end paperbench runs skipped in -short mode")
@@ -41,7 +45,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 
 	// Reference: uninterrupted, no checkpointing.
 	var ref bytes.Buffer
-	if err := run(base, &ref, io.Discard); err != nil {
+	refBench := base
+	refBench.benchDir = t.TempDir()
+	if err := run(refBench, &ref, io.Discard); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	if ref.Len() == 0 {
@@ -68,6 +74,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	// Resume: completed experiments replay, the rest run fresh.
 	resume := base
 	resume.checkpointDir = ckptDir
+	resume.benchDir = t.TempDir()
 	var resumed bytes.Buffer
 	if err := run(resume, &resumed, io.Discard); err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -77,12 +84,42 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// Rerun with everything checkpointed: pure replay, still identical.
+	replay := resume
+	replay.benchDir = t.TempDir()
 	var replayed bytes.Buffer
-	if err := run(resume, &replayed, io.Discard); err != nil {
+	if err := run(replay, &replayed, io.Discard); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	if !bytes.Equal(replayed.Bytes(), ref.Bytes()) {
 		t.Errorf("replayed output differs from uninterrupted run:\n%s\nvs\n%s", replayed.String(), ref.String())
+	}
+
+	// fleet-rollout's bench document: computed by the uninterrupted run and
+	// by the resumed one, replayed from the checkpoint by the last.
+	var docs [][]byte
+	for _, dir := range []string{refBench.benchDir, resume.benchDir, replay.benchDir} {
+		b, err := os.ReadFile(filepath.Join(dir, "BENCH_fleet-rollout.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, b)
+	}
+	if !bytes.Equal(docs[1], docs[0]) || !bytes.Equal(docs[2], docs[0]) {
+		t.Errorf("BENCH_fleet-rollout.json differs across uninterrupted, resumed and replayed runs:\n%s\n%s\n%s", docs[0], docs[1], docs[2])
+	}
+}
+
+// TestRunRejectsUnknownExperiment pins -exp validation: a misspelt name
+// fails before any work, and the error lists the valid names.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	err := run(benchOpts{scaleName: "quick", exps: "corpus,tabel3", quiet: true}, io.Discard, io.Discard)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, want := range []string{`"tabel3"`, "all", "table3", "surrogate-bench"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,28 +24,24 @@ import (
 // errInjectedCrash before starting experiment failAfter+1, simulating a
 // mid-sweep kill for checkpoint-resume tests.
 type benchOpts struct {
-	scaleName         string
-	cacheDir          string
-	seed              int64
-	exps              string
-	svgDir            string
-	quiet             bool
-	workers           int
-	manifestPath      string
-	resultsPath       string
-	cpuProfile        string
-	memProfile        string
-	checkpointDir     string
-	sweepJSONPath     string
-	rolloutJSONPath   string
-	ctrlplaneJSONPath string
-	churnJSONPath     string
-	eventsPath        string
-	tracePath         string
-	debugAddr         string
-	simMode           string
-	surrogateJSONPath string
-	args              []string
+	scaleName     string
+	cacheDir      string
+	seed          int64
+	exps          string
+	svgDir        string
+	quiet         bool
+	workers       int
+	manifestPath  string
+	resultsPath   string
+	cpuProfile    string
+	memProfile    string
+	checkpointDir string
+	benchDir      string
+	eventsPath    string
+	tracePath     string
+	debugAddr     string
+	simMode       string
+	args          []string
 
 	scaleOverride *experiments.Scale
 	failAfter     int
@@ -54,6 +49,116 @@ type benchOpts struct {
 
 // errInjectedCrash is the failure the failAfter test hook injects.
 var errInjectedCrash = errors.New("injected crash (test hook)")
+
+// experiment is one registry entry. Its run function writes the
+// experiment's stdout section to w and returns the metrics recorded in the
+// results file plus, for a measured study, the bench document -benchdir
+// writes as BENCH_<name>.json.
+type experiment struct {
+	name string
+	// optIn keeps the experiment out of -exp all; it runs only when named.
+	optIn bool
+	// live experiments never replay from a checkpoint: they exist to
+	// measure this run's wall clock.
+	live bool
+	// feeds names the experiments that read this one's in-process state.
+	// It runs whenever one of them is selected, and replays from a
+	// checkpoint only when every selected one is checkpointed too.
+	feeds []string
+	run   func(s *session, w io.Writer) (map[string]float64, *obs.Bench, error)
+}
+
+// registry is every experiment paperbench knows, in run order.
+var registry = []experiment{
+	{name: "corpus", run: (*session).corpus},
+	{name: "table3", run: (*session).table3},
+	{name: "table4", run: (*session).table4},
+	{name: "fig4", run: (*session).fig4},
+	{name: "fig5", run: (*session).fig5},
+	{name: "fig6", run: (*session).fig6},
+	{name: "fig7", run: (*session).fig7},
+	{name: "fig8-deploy", feeds: []string{"fig8", "fig9", "table6"}, run: (*session).fig8Deploy},
+	{name: "fig8", run: (*session).fig8},
+	{name: "fig9", run: (*session).fig9},
+	{name: "fig10", run: (*session).fig10},
+	{name: "table5", run: (*session).table5},
+	{name: "table6", run: (*session).table6},
+	{name: "granularity", run: (*session).granularity},
+	{name: "guardrail", run: (*session).guardrail},
+	{name: "faults", run: (*session).faults},
+	{name: "guardrail-sweep", run: (*session).guardrailSweep},
+	{name: "fleet-rollout", run: (*session).fleetRollout},
+	{name: "ctrlplane-soak", run: (*session).ctrlplaneSoak},
+	{name: "ctrlplane-churn", run: (*session).ctrlplaneChurn},
+	{name: "uarch", run: (*session).uarch},
+	{name: "dvfs", run: (*session).dvfs},
+	{name: "ablations", run: (*session).ablations},
+	// surrogate-bench's stdout is deterministic, but it exists to measure
+	// wall clock, which belongs in its bench document.
+	{name: "surrogate-bench", optIn: true, live: true, run: (*session).surrogateBench},
+}
+
+// lookup returns the registry entry with the given name, or nil.
+func lookup(name string) *experiment {
+	for i := range registry {
+		if registry[i].name == name {
+			return &registry[i]
+		}
+	}
+	return nil
+}
+
+// experimentList names every valid -exp value, marking opt-in entries.
+func experimentList() string {
+	names := []string{"all"}
+	for _, e := range registry {
+		if e.optIn {
+			names = append(names, e.name+" (not in all)")
+		} else {
+			names = append(names, e.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// selectExperiments resolves an -exp list against the registry: "all"
+// selects every entry that is not opt-in, an entry that feeds others is
+// selected with any of them, and an unknown name is an error.
+func selectExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if name != "all" && lookup(name) == nil {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, experimentList())
+		}
+		want[name] = true
+	}
+	picked := func(e *experiment) bool { return want[e.name] || want["all"] && !e.optIn }
+	sel := map[string]bool{}
+	for i := range registry {
+		e := &registry[i]
+		sel[e.name] = picked(e)
+		for _, f := range e.feeds {
+			sel[e.name] = sel[e.name] || picked(lookup(f))
+		}
+	}
+	return sel, nil
+}
+
+// session is what the registered experiments share within one run.
+type session struct {
+	opts     benchOpts
+	env      *experiments.Env
+	stderr   io.Writer
+	ckpt     *experiments.Checkpoint
+	results  *obs.Results
+	surModel *surrogate.Model
+	// fig8Rows is fig8-deploy's evaluation, read by fig8, fig9 and table6.
+	fig8Rows []experiments.Fig8Row
+}
 
 // run executes the selected experiments, writing experiment output to
 // stdout and progress to stderr. Experiment output is buffered per
@@ -76,6 +181,19 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown scale %q", opts.scaleName)
 	}
 	scale.Workers = opts.workers
+	selected, err := selectExperiments(opts.exps)
+	if err != nil {
+		return err
+	}
+	simMode := core.SimMode(opts.simMode)
+	if opts.simMode == "" {
+		simMode = core.SimExact
+	}
+	switch simMode {
+	case core.SimExact, core.SimSurrogate, core.SimValidate:
+	default:
+		return fmt.Errorf("unknown -sim mode %q (want exact, surrogate, or validate)", opts.simMode)
+	}
 
 	stopProfiles, err := obs.StartProfiles(opts.cpuProfile, opts.memProfile)
 	if err != nil {
@@ -86,7 +204,7 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		Seed: opts.seed, Scale: opts.scaleName, Workers: opts.workers,
 	})
 	obs.SetCurrent(run)
-	results := obs.NewResults("paperbench")
+	s := &session{opts: opts, stderr: stderr, results: obs.NewResults("paperbench")}
 	if opts.eventsPath != "" {
 		obs.SetEventLog(obs.NewEventLog())
 		defer obs.SetEventLog(nil)
@@ -102,20 +220,17 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		defer dbg.Close()
 	}
 
-	var ckpt *experiments.Checkpoint
 	if opts.checkpointDir != "" {
-		ckpt, err = experiments.OpenCheckpoint(opts.checkpointDir, opts.seed, opts.scaleName)
+		s.ckpt, err = experiments.OpenCheckpoint(opts.checkpointDir, opts.seed, opts.scaleName)
 		if err != nil {
 			return err
 		}
+		// Not a progress line: a discarded store changes what this run
+		// recomputes, so it prints even under -q.
+		if why := s.ckpt.Ignored(); why != "" {
+			fmt.Fprintln(stderr, "# checkpoint:", why)
+		}
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(opts.exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	sel := func(name string) bool { return all || want[name] }
 
 	start := time.Now()
 	var logw io.Writer
@@ -127,7 +242,7 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 	// every recorded cache file survives, the env build below replays
 	// entirely from disk and the resume is fully offline. The report goes to
 	// stderr only — stdout must stay byte-identical to an uninterrupted run.
-	if prev, err := ckpt.CacheManifest(); err != nil {
+	if prev, err := s.ckpt.CacheManifest(); err != nil {
 		return err
 	} else if len(prev) > 0 && !opts.quiet {
 		missing := 0
@@ -143,621 +258,48 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		}
 	}
 
-	env, err := experiments.NewEnvLogged(scale, opts.cacheDir, opts.seed, logw)
+	s.env, err = experiments.NewEnvLogged(scale, opts.cacheDir, opts.seed, logw)
 	if err != nil {
 		return err
 	}
-	if err := ckpt.SaveCacheManifest(dataset.RecordedCacheFiles()); err != nil {
+	if err := s.ckpt.SaveCacheManifest(dataset.RecordedCacheFiles()); err != nil {
 		return err
 	}
 
 	// Simulation-oracle selection (-sim). The env above is always built
 	// exactly — the surrogate trains on that exact telemetry — and only
 	// deployments made after this point route through the oracle.
-	simMode := core.SimMode(opts.simMode)
-	if opts.simMode == "" {
-		simMode = core.SimExact
-	}
-	switch simMode {
-	case core.SimExact, core.SimSurrogate, core.SimValidate:
-	default:
-		return fmt.Errorf("unknown -sim mode %q (want exact, surrogate, or validate)", opts.simMode)
-	}
-	var surModel *surrogate.Model
 	var surOracle *surrogate.Oracle
-	if simMode != core.SimExact || want["surrogate-bench"] {
-		t0 := time.Now()
-		surModel, err = surrogate.Train(env.HDTR, env.HDTRTel, env.Cfg, surrogate.TrainOptions{
-			Workers: scale.Workers,
-			Seed:    opts.seed,
-		})
-		if err != nil {
-			return fmt.Errorf("training surrogate: %w", err)
-		}
-		if !opts.quiet {
-			fmt.Fprintf(stderr, "# surrogate: %s backend, %d samples, holdout MAE %.4f p95 %.4f in %.1fs\n",
-				surModel.Backend, surModel.Samples, surModel.HoldoutMAE, surModel.HoldoutP95, time.Since(t0).Seconds())
-		}
-	}
 	if simMode != core.SimExact {
-		surOracle = surrogate.NewOracle(surModel, simMode, surrogate.OracleOptions{Seed: opts.seed})
-		env.Sim = surOracle
+		m, err := s.surrogate()
+		if err != nil {
+			return err
+		}
+		surOracle = surrogate.NewOracle(m, simMode, surrogate.OracleOptions{Seed: opts.seed})
+		s.env.Sim = surOracle
 	}
 
-	// runExp wraps one experiment with a span, a timed results entry, and
-	// crash-safe buffering: f writes to a private buffer that reaches
-	// stdout — and the checkpoint store — only after f succeeds. A
-	// checkpointed experiment replays its stored bytes instead of running.
-	// The force flag skips replay for experiments whose side effects
-	// (in-process state feeding later experiments) are needed this run.
-	var runErr error
 	completed := 0
-	runExp := func(name string, force bool, f func(w io.Writer) (map[string]float64, error)) {
-		if runErr != nil {
-			return
+	for i := range registry {
+		e := &registry[i]
+		if !selected[e.name] {
+			continue
 		}
 		if opts.failAfter > 0 && completed >= opts.failAfter {
-			runErr = errInjectedCrash
-			return
+			return errInjectedCrash
 		}
-		var secs float64
-		var metrics map[string]float64
-		replayed := false
-		if !force {
-			if e, ok := ckpt.Load(name); ok {
-				if _, err := io.WriteString(stdout, e.Output); err != nil {
-					runErr = err
-					return
-				}
-				secs, metrics = e.Seconds, e.Metrics
-				replayed = true
+		// A feeding experiment's state lives only in process memory, so it
+		// replays only when every selected consumer replays too.
+		var feeds []string
+		for _, f := range e.feeds {
+			if selected[f] {
+				feeds = append(feeds, f)
 			}
 		}
-		if !replayed {
-			sp := obs.Start("exp/" + name)
-			t0 := time.Now()
-			var buf bytes.Buffer
-			var err error
-			metrics, err = f(&buf)
-			sp.End()
-			if err != nil {
-				runErr = err
-				return
-			}
-			secs = time.Since(t0).Seconds()
-			if _, err := stdout.Write(buf.Bytes()); err != nil {
-				runErr = err
-				return
-			}
-			if err := ckpt.Save(experiments.CheckpointEntry{
-				Name: name, Output: buf.String(), Seconds: secs, Metrics: metrics,
-			}); err != nil {
-				runErr = err
-				return
-			}
+		if err := s.runExp(e, e.live || len(e.feeds) > 0 && !s.ckpt.Has(feeds...), stdout); err != nil {
+			return err
 		}
-		// Single bookkeeping site: replayed and live experiments are
-		// recorded once each, identically, so a resumed run's results file
-		// counts every experiment exactly once.
-		results.Add(name, secs, metrics)
 		completed++
-	}
-
-	if sel("corpus") {
-		runExp("corpus", false, func(w io.Writer) (map[string]float64, error) {
-			experiments.PrintCorpus(w, env)
-			fmt.Fprintln(w)
-			return nil, nil
-		})
-	}
-	if sel("table3") {
-		runExp("table3", false, func(w io.Writer) (map[string]float64, error) {
-			budget := experiments.Table3Budget(env.Spec)
-			models, err := experiments.Table3Models(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintTable3(w, budget, models)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for i, r := range models {
-				m[fmt.Sprintf("pgos.%02d", i)] = r.PGOS.Mean
-				m[fmt.Sprintf("ops.%02d", i)] = float64(r.Cost.Ops)
-			}
-			return m, nil
-		})
-	}
-	if sel("table4") {
-		runExp("table4", false, func(w io.Writer) (map[string]float64, error) {
-			experiments.PrintTable4(w, env)
-			fmt.Fprintln(w)
-			return nil, nil
-		})
-	}
-	if sel("fig4") {
-		runExp("fig4", false, func(w io.Writer) (map[string]float64, error) {
-			pts, err := experiments.Fig4Diversity(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig4(w, pts)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for _, p := range pts {
-				m[fmt.Sprintf("pgos.apps%d", p.TuningApps)] = p.PGOS.Mean
-				m[fmt.Sprintf("rsv.apps%d", p.TuningApps)] = p.RSV.Mean
-			}
-			return m, nil
-		})
-	}
-	if sel("fig5") {
-		runExp("fig5", false, func(w io.Writer) (map[string]float64, error) {
-			pts, err := experiments.Fig5Counters(env)
-			if err != nil {
-				return nil, err
-			}
-			expert, err := experiments.Fig5Expert(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig5(w, pts, expert)
-			fmt.Fprintln(w)
-			m := map[string]float64{
-				"pgos.expert": expert.PGOS.Mean,
-				"rsv.expert":  expert.RSV.Mean,
-			}
-			for _, p := range pts {
-				m[fmt.Sprintf("pgos.r%d", p.Counters)] = p.PGOS.Mean
-				m[fmt.Sprintf("rsv.r%d", p.Counters)] = p.RSV.Mean
-			}
-			return m, nil
-		})
-	}
-	if sel("fig6") {
-		runExp("fig6", false, func(w io.Writer) (map[string]float64, error) {
-			pts, err := experiments.Fig6Screen(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig6(w, "Figure 6: MLP hyperparameter screen (* fits 50k budget)", pts)
-			best := experiments.BestByScreen(pts)
-			fmt.Fprintf(w, "  selected topology: %v\n", best.Hidden)
-			rfs, err := experiments.Fig6RFScreen(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig6(w, "Figure 6 (RF analogue): forest screen (* fits 40k budget)", rfs)
-			fmt.Fprintln(w)
-			return map[string]float64{
-				"pgos.best": best.PGOS.Mean,
-				"rsv.best":  best.RSV.Mean,
-				"ops.best":  float64(best.Ops),
-			}, nil
-		})
-	}
-	if sel("fig7") {
-		runExp("fig7", false, func(w io.Writer) (map[string]float64, error) {
-			rows, mean := experiments.Fig7Oracle(env)
-			experiments.PrintFig7(w, rows, mean)
-			fmt.Fprintln(w)
-			if opts.svgDir != "" {
-				if err := writeFig7SVG(opts.svgDir, rows); err != nil {
-					return nil, err
-				}
-			}
-			return map[string]float64{"mean_residency": mean}, nil
-		})
-	}
-
-	// fig8, fig9, and table6 all consume the fig8-deploy evaluation, which
-	// lives only in process memory. Replaying fig8-deploy from a checkpoint
-	// is therefore only sound when every selected dependent is also
-	// replayed; otherwise it must run live even if checkpointed.
-	var fig8Rows []experiments.Fig8Row
-	if sel("fig8") || sel("fig9") || sel("table6") {
-		var deps []string
-		for _, n := range []string{"fig8", "fig9", "table6"} {
-			if sel(n) {
-				deps = append(deps, n)
-			}
-		}
-		forceDeploy := !(ckpt.Has(deps...) && ckpt.Has("fig8-deploy"))
-		runExp("fig8-deploy", forceDeploy, func(w io.Writer) (map[string]float64, error) {
-			gs, err := experiments.BuildFig8Controllers(env)
-			if err != nil {
-				return nil, err
-			}
-			fig8Rows, err = experiments.Fig8Evaluate(env, gs)
-			if err != nil {
-				return nil, err
-			}
-			m := map[string]float64{}
-			for _, r := range fig8Rows {
-				m["ppw."+r.Model] = r.Summary.MeanBenchmarkPPWGain()
-				m["rsv."+r.Model] = r.Summary.Overall.RSV
-				m["pgos."+r.Model] = r.Summary.Overall.Confusion.PGOS()
-				m["residency."+r.Model] = r.Summary.Overall.Residency
-			}
-			return m, nil
-		})
-	}
-	if sel("fig8") {
-		runExp("fig8", false, func(w io.Writer) (map[string]float64, error) {
-			experiments.PrintFig8(w, fig8Rows)
-			fmt.Fprintln(w)
-			if opts.svgDir != "" {
-				if err := writeFig8SVG(opts.svgDir, fig8Rows); err != nil {
-					return nil, err
-				}
-			}
-			return nil, nil
-		})
-	}
-	if sel("fig9") {
-		runExp("fig9", false, func(w io.Writer) (map[string]float64, error) {
-			var charstar, bestRF *experiments.Fig8Row
-			for i := range fig8Rows {
-				switch fig8Rows[i].Model {
-				case "charstar":
-					charstar = &fig8Rows[i]
-				case "best-rf":
-					bestRF = &fig8Rows[i]
-				}
-			}
-			if charstar != nil && bestRF != nil {
-				experiments.PrintFig9(w, experiments.Fig9PerBenchmark(charstar.Summary, bestRF.Summary))
-				fmt.Fprintln(w)
-			}
-			return nil, nil
-		})
-	}
-	if sel("fig10") {
-		runExp("fig10", false, func(w io.Writer) (map[string]float64, error) {
-			steps, err := experiments.Fig10Ablation(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig10(w, steps)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for i, s := range steps {
-				m[fmt.Sprintf("rsv.step%d", i)] = s.RSV
-				m[fmt.Sprintf("ppw.step%d", i)] = s.PPW
-			}
-			return m, nil
-		})
-	}
-	if sel("table5") {
-		runExp("table5", false, func(w io.Writer) (map[string]float64, error) {
-			rows, err := experiments.Table5SLARetune(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintTable5(w, rows)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for _, r := range rows {
-				key := fmt.Sprintf("psla%02.0f", 100*r.PSLA)
-				m["ppw."+key] = r.PPWGain
-				m["rsv."+key] = r.RSV
-				m["relperf."+key] = r.RelPerf
-			}
-			return m, nil
-		})
-	}
-	if sel("table6") {
-		runExp("table6", false, func(w io.Writer) (map[string]float64, error) {
-			var bestRF *experiments.Fig8Row
-			for i := range fig8Rows {
-				if fig8Rows[i].Model == "best-rf" {
-					bestRF = &fig8Rows[i]
-				}
-			}
-			if bestRF == nil {
-				return nil, fmt.Errorf("table6 requires fig8's best-rf run")
-			}
-			general, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := experiments.Table6AppSpecific(env, general, bestRF.Summary)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintTable6(w, rows)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for _, r := range rows {
-				m["delta."+r.Benchmark] = r.Delta()
-			}
-			return m, nil
-		})
-	}
-	if sel("granularity") {
-		runExp("granularity", false, func(w io.Writer) (map[string]float64, error) {
-			pts, err := experiments.GranularitySweep(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintGranularity(w, pts)
-			fmt.Fprintln(w)
-			m := map[string]float64{}
-			for _, p := range pts {
-				key := fmt.Sprintf("g%dk", p.Granularity/1000)
-				m["ppw."+key] = p.PPW
-				m["rsv."+key] = p.RSV
-			}
-			return m, nil
-		})
-	}
-	if sel("guardrail") {
-		runExp("guardrail", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.GuardrailStudy(env, g)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintGuardrail(w, r)
-			fmt.Fprintln(w)
-			return map[string]float64{
-				"ppw.bare":      r.BarePPW,
-				"ppw.guarded":   r.GuardedPPW,
-				"rsv.bare":      r.BareRSV,
-				"worst.bare":    r.BareWorst,
-				"worst.guarded": r.GuardedWorst,
-				"trips":         float64(r.Trips),
-			}, nil
-		})
-	}
-	if sel("faults") {
-		runExp("faults", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.FaultStudy(env, g)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFaultStudy(w, r)
-			fmt.Fprintln(w)
-			m := map[string]float64{"watchdog.ops": float64(r.Watchdog.Ops)}
-			for _, c := range r.Classes {
-				key := string(c.Class)
-				m["rsv_off."+key] = c.RSVOff
-				m["rsv_on."+key] = c.RSVOn
-				m["trips."+key] = float64(c.Trips)
-				m["injected."+key] = float64(c.Injected)
-			}
-			return m, nil
-		})
-	}
-	if sel("guardrail-sweep") {
-		runExp("guardrail-sweep", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGuardedBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.GuardrailSweep(env, g)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintGuardrailSweep(w, r)
-			fmt.Fprintln(w)
-			if opts.sweepJSONPath != "" {
-				if err := writeSweepJSON(opts.sweepJSONPath, r); err != nil {
-					return nil, err
-				}
-			}
-			m := map[string]float64{
-				"watchdog.ops":    float64(r.WatchdogOps),
-				"detector.flips":  float64(r.DetectorFlips),
-				"detector.caught": float64(r.DetectorCaught),
-			}
-			for _, row := range r.Rows {
-				m["exposure."+row.Key] = row.MeanExposure
-				m["ppw."+row.Key] = row.PPW
-				m["trips."+row.Key] = float64(row.Trips)
-			}
-			if r.Best != "" {
-				m["dominates"] = 1
-			}
-			return m, nil
-		})
-	}
-	if sel("fleet-rollout") {
-		runExp("fleet-rollout", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.FleetRollout(env, g)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFleetRollout(w, r)
-			fmt.Fprintln(w)
-			if opts.rolloutJSONPath != "" {
-				if err := writeRolloutJSON(opts.rolloutJSONPath, r); err != nil {
-					return nil, err
-				}
-			}
-			m := map[string]float64{"machines": float64(r.Machines)}
-			for _, row := range r.Rows {
-				m["exposed."+row.Key] = float64(row.Exposed)
-				m["installed."+row.Key] = float64(row.Installed)
-				m["time."+row.Key] = float64(row.TimeSteps)
-				m["bad_flashed."+row.Key] = float64(row.BadFlashed)
-				if row.BadCaught {
-					m["bad_caught."+row.Key] = 1
-				}
-			}
-			return m, nil
-		})
-	}
-	if sel("ctrlplane-soak") {
-		runExp("ctrlplane-soak", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.CtrlplaneSoak(env, g, opts.checkpointDir)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintCtrlplane(w, r)
-			fmt.Fprintln(w)
-			if opts.ctrlplaneJSONPath != "" {
-				if err := writeCtrlplaneJSON(opts.ctrlplaneJSONPath, r); err != nil {
-					return nil, err
-				}
-			}
-			m := map[string]float64{
-				"machines":       float64(r.Machines),
-				"good.ticks":     float64(r.Good.Ticks),
-				"good.flashed":   float64(r.Good.Flashed),
-				"good.exposed":   float64(r.Good.Exposed),
-				"good.decisions": float64(r.Good.Decisions),
-				"bad.flashed":    float64(r.Bad.Flashed),
-			}
-			if r.Good.Completed {
-				m["good.completed"] = 1
-			}
-			if r.Bad.RolledBack {
-				m["bad.caught"] = 1
-			}
-			return m, nil
-		})
-	}
-	if sel("ctrlplane-churn") {
-		runExp("ctrlplane-churn", false, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.CtrlplaneChurn(env, g, opts.checkpointDir)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintCtrlplaneChurn(w, r)
-			fmt.Fprintln(w)
-			if opts.churnJSONPath != "" {
-				if err := writeCtrlplaneChurnJSON(opts.churnJSONPath, r); err != nil {
-					return nil, err
-				}
-			}
-			m := map[string]float64{"machines": float64(r.Machines)}
-			goodCompleted := 1.0
-			for i := range r.Arms {
-				a := &r.Arms[i]
-				m["completion."+a.Key] = a.CompletionRate()
-				m["stale."+a.Key] = float64(a.Report.StaleQuarantines)
-				m["catchup."+a.Key] = float64(a.Report.CatchUpFlashes)
-				if !a.Report.Completed {
-					goodCompleted = 0
-				}
-			}
-			m["good.completed"] = goodCompleted
-			if r.Bad.RolledBack && r.Bad.HaltedRing == 0 {
-				m["bad.caught"] = 1
-			}
-			return m, nil
-		})
-	}
-	if sel("uarch") {
-		runExp("uarch", false, func(w io.Writer) (map[string]float64, error) {
-			rows, err := experiments.UarchAblations(env, 2)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintUarchAblations(w, rows)
-			fmt.Fprintln(w)
-			return nil, nil
-		})
-	}
-	if sel("dvfs") {
-		runExp("dvfs", false, func(w io.Writer) (map[string]float64, error) {
-			rows, err := experiments.DVFSSweep(5)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintDVFS(w, rows)
-			fmt.Fprintln(w)
-			return nil, nil
-		})
-	}
-	if sel("ablations") {
-		runExp("ablations", false, func(w io.Writer) (map[string]float64, error) {
-			rows, err := experiments.Ablations(env)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintAblations(w, rows)
-
-			pred, react, err := experiments.ReactiveAblation(env)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "  predict t+2: PGOS %.1f%% RSV %.2f%% | reactive t: PGOS %.1f%% RSV %.2f%%\n",
-				100*pred.PGOS.Mean, 100*pred.RSV.Mean, 100*react.PGOS.Mean, 100*react.RSV.Mean)
-
-			norm, raw, err := experiments.NormalizationAblation(env)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "  normalized: PGOS %.1f%% RSV %.2f%% | raw counts: PGOS %.1f%% RSV %.2f%%\n",
-				100*norm.PGOS.Mean, 100*norm.RSV.Mean, 100*raw.PGOS.Mean, 100*raw.RSV.Mean)
-			fmt.Fprintln(w)
-			m := map[string]float64{
-				"pgos.predict":    pred.PGOS.Mean,
-				"rsv.predict":     pred.RSV.Mean,
-				"pgos.reactive":   react.PGOS.Mean,
-				"rsv.reactive":    react.RSV.Mean,
-				"pgos.normalized": norm.PGOS.Mean,
-				"pgos.raw":        raw.PGOS.Mean,
-			}
-			for _, r := range rows {
-				m["ppw."+r.Label] = r.PPWGain
-				m["rsv."+r.Label] = r.RSV
-			}
-			return m, nil
-		})
-	}
-
-	// surrogate-bench is opt-in only (never part of -exp all): its stdout is
-	// deterministic, but it exists to measure wall-clock, which belongs in
-	// -surrogatejson, not in the byte-identical experiment stream.
-	if want["surrogate-bench"] {
-		runExp("surrogate-bench", true, func(w io.Writer) (map[string]float64, error) {
-			g, err := experiments.BuildGeneralBestRF(env)
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.SurrogateBench(env, surModel, g, 0.05)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintSurrogateBench(w, r)
-			fmt.Fprintln(w)
-			if opts.surrogateJSONPath != "" {
-				if err := writeSurrogateJSON(opts.surrogateJSONPath, r); err != nil {
-					return nil, err
-				}
-			}
-			return map[string]float64{
-				"err.p50":    r.ErrP50,
-				"err.p95":    r.ErrP95,
-				"err.max":    r.ErrMax,
-				"pred.agree": r.PredAgree,
-			}, nil
-		})
-	}
-
-	if runErr != nil {
-		return runErr
 	}
 
 	// In validate mode the run fails loudly when the surrogate drifted past
@@ -787,7 +329,7 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		}
 	}
 	if opts.resultsPath != "" {
-		if err := results.WriteFile(opts.resultsPath); err != nil {
+		if err := s.results.WriteFile(opts.resultsPath); err != nil {
 			return err
 		}
 	}
@@ -802,6 +344,587 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		}
 	}
 	return stopProfiles()
+}
+
+// runExp runs one experiment with a span, a timed results entry, and
+// crash-safe buffering: its output reaches stdout — and the checkpoint
+// store — only after it succeeds, followed by a blank line when it printed
+// anything. A checkpointed experiment replays its stored output and bench
+// bytes instead of running, unless force is set. It is the single
+// bookkeeping site: replayed and live experiments are recorded once each,
+// identically, so a resumed run's results file counts every experiment
+// exactly once and its bench files match the run that computed them.
+func (s *session) runExp(e *experiment, force bool, stdout io.Writer) error {
+	var entry experiments.CheckpointEntry
+	replayed := false
+	if !force {
+		entry, replayed = s.ckpt.Load(e.name)
+	}
+	if replayed {
+		if _, err := io.WriteString(stdout, entry.Output); err != nil {
+			return err
+		}
+	} else {
+		sp := obs.Start("exp/" + e.name)
+		t0 := time.Now()
+		var buf bytes.Buffer
+		metrics, bench, err := e.run(s, &buf)
+		sp.End()
+		if err != nil {
+			return err
+		}
+		if buf.Len() > 0 {
+			buf.WriteByte('\n')
+		}
+		entry = experiments.CheckpointEntry{
+			Name: e.name, Output: buf.String(), Seconds: time.Since(t0).Seconds(), Metrics: metrics,
+		}
+		if bench != nil {
+			b, err := bench.Marshal()
+			if err != nil {
+				return err
+			}
+			entry.Bench = string(b)
+		}
+		if _, err := stdout.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		if err := s.ckpt.Save(entry); err != nil {
+			return err
+		}
+	}
+	if s.opts.benchDir != "" && entry.Bench != "" {
+		if err := os.MkdirAll(s.opts.benchDir, 0o755); err != nil {
+			return err
+		}
+		path := filepath.Join(s.opts.benchDir, "BENCH_"+e.name+".json")
+		if err := os.WriteFile(path, []byte(entry.Bench), 0o644); err != nil {
+			return err
+		}
+	}
+	s.results.Add(e.name, entry.Seconds, entry.Metrics)
+	return nil
+}
+
+// surrogate trains the run's surrogate model on the HDTR telemetry on
+// first use and returns it.
+func (s *session) surrogate() (*surrogate.Model, error) {
+	if s.surModel != nil {
+		return s.surModel, nil
+	}
+	t0 := time.Now()
+	m, err := surrogate.Train(s.env.HDTR, s.env.HDTRTel, s.env.Cfg, surrogate.TrainOptions{
+		Workers: s.env.Scale.Workers,
+		Seed:    s.opts.seed,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("training surrogate: %w", err)
+	}
+	if !s.opts.quiet {
+		fmt.Fprintf(s.stderr, "# surrogate: %s backend, %d samples, holdout MAE %.4f p95 %.4f in %.1fs\n",
+			m.Backend, m.Samples, m.HoldoutMAE, m.HoldoutP95, time.Since(t0).Seconds())
+	}
+	s.surModel = m
+	return m, nil
+}
+
+func (s *session) corpus(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	experiments.PrintCorpus(w, s.env)
+	return nil, nil, nil
+}
+
+func (s *session) table3(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	budget := experiments.Table3Budget(s.env.Spec)
+	models, err := experiments.Table3Models(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintTable3(w, budget, models)
+	m := map[string]float64{}
+	for i, r := range models {
+		m[fmt.Sprintf("pgos.%02d", i)] = r.PGOS.Mean
+		m[fmt.Sprintf("ops.%02d", i)] = float64(r.Cost.Ops)
+	}
+	return m, nil, nil
+}
+
+func (s *session) table4(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	experiments.PrintTable4(w, s.env)
+	return nil, nil, nil
+}
+
+func (s *session) fig4(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	pts, err := experiments.Fig4Diversity(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFig4(w, pts)
+	m := map[string]float64{}
+	for _, p := range pts {
+		m[fmt.Sprintf("pgos.apps%d", p.TuningApps)] = p.PGOS.Mean
+		m[fmt.Sprintf("rsv.apps%d", p.TuningApps)] = p.RSV.Mean
+	}
+	return m, nil, nil
+}
+
+func (s *session) fig5(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	pts, err := experiments.Fig5Counters(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	expert, err := experiments.Fig5Expert(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFig5(w, pts, expert)
+	m := map[string]float64{
+		"pgos.expert": expert.PGOS.Mean,
+		"rsv.expert":  expert.RSV.Mean,
+	}
+	for _, p := range pts {
+		m[fmt.Sprintf("pgos.r%d", p.Counters)] = p.PGOS.Mean
+		m[fmt.Sprintf("rsv.r%d", p.Counters)] = p.RSV.Mean
+	}
+	return m, nil, nil
+}
+
+func (s *session) fig6(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	pts, err := experiments.Fig6Screen(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFig6(w, "Figure 6: MLP hyperparameter screen (* fits 50k budget)", pts)
+	best := experiments.BestByScreen(pts)
+	fmt.Fprintf(w, "  selected topology: %v\n", best.Hidden)
+	rfs, err := experiments.Fig6RFScreen(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFig6(w, "Figure 6 (RF analogue): forest screen (* fits 40k budget)", rfs)
+	return map[string]float64{
+		"pgos.best": best.PGOS.Mean,
+		"rsv.best":  best.RSV.Mean,
+		"ops.best":  float64(best.Ops),
+	}, nil, nil
+}
+
+func (s *session) fig7(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	rows, mean := experiments.Fig7Oracle(s.env)
+	experiments.PrintFig7(w, rows, mean)
+	if s.opts.svgDir != "" {
+		if err := writeFig7SVG(s.opts.svgDir, rows); err != nil {
+			return nil, nil, err
+		}
+	}
+	return map[string]float64{"mean_residency": mean}, nil, nil
+}
+
+func (s *session) fig8Deploy(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	gs, err := experiments.BuildFig8Controllers(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.fig8Rows, err = experiments.Fig8Evaluate(s.env, gs)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := map[string]float64{}
+	for _, r := range s.fig8Rows {
+		m["ppw."+r.Model] = r.Summary.MeanBenchmarkPPWGain()
+		m["rsv."+r.Model] = r.Summary.Overall.RSV
+		m["pgos."+r.Model] = r.Summary.Overall.Confusion.PGOS()
+		m["residency."+r.Model] = r.Summary.Overall.Residency
+	}
+	return m, nil, nil
+}
+
+func (s *session) fig8(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	experiments.PrintFig8(w, s.fig8Rows)
+	if s.opts.svgDir != "" {
+		if err := writeFig8SVG(s.opts.svgDir, s.fig8Rows); err != nil {
+			return nil, nil, err
+		}
+	}
+	return nil, nil, nil
+}
+
+// fig8Row returns fig8-deploy's row for the named model, or nil.
+func (s *session) fig8Row(model string) *experiments.Fig8Row {
+	for i := range s.fig8Rows {
+		if s.fig8Rows[i].Model == model {
+			return &s.fig8Rows[i]
+		}
+	}
+	return nil
+}
+
+func (s *session) fig9(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	if charstar, bestRF := s.fig8Row("charstar"), s.fig8Row("best-rf"); charstar != nil && bestRF != nil {
+		experiments.PrintFig9(w, experiments.Fig9PerBenchmark(charstar.Summary, bestRF.Summary))
+	}
+	return nil, nil, nil
+}
+
+func (s *session) fig10(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	steps, err := experiments.Fig10Ablation(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFig10(w, steps)
+	m := map[string]float64{}
+	for i, st := range steps {
+		m[fmt.Sprintf("rsv.step%d", i)] = st.RSV
+		m[fmt.Sprintf("ppw.step%d", i)] = st.PPW
+	}
+	return m, nil, nil
+}
+
+func (s *session) table5(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	rows, err := experiments.Table5SLARetune(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintTable5(w, rows)
+	m := map[string]float64{}
+	for _, r := range rows {
+		key := fmt.Sprintf("psla%02.0f", 100*r.PSLA)
+		m["ppw."+key] = r.PPWGain
+		m["rsv."+key] = r.RSV
+		m["relperf."+key] = r.RelPerf
+	}
+	return m, nil, nil
+}
+
+func (s *session) table6(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	bestRF := s.fig8Row("best-rf")
+	if bestRF == nil {
+		return nil, nil, fmt.Errorf("table6 requires fig8's best-rf run")
+	}
+	general, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := experiments.Table6AppSpecific(s.env, general, bestRF.Summary)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintTable6(w, rows)
+	m := map[string]float64{}
+	for _, r := range rows {
+		m["delta."+r.Benchmark] = r.Delta()
+	}
+	return m, nil, nil
+}
+
+func (s *session) granularity(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	pts, err := experiments.GranularitySweep(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintGranularity(w, pts)
+	m := map[string]float64{}
+	for _, p := range pts {
+		key := fmt.Sprintf("g%dk", p.Granularity/1000)
+		m["ppw."+key] = p.PPW
+		m["rsv."+key] = p.RSV
+	}
+	return m, nil, nil
+}
+
+func (s *session) guardrail(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.GuardrailStudy(s.env, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintGuardrail(w, r)
+	return map[string]float64{
+		"ppw.bare":      r.BarePPW,
+		"ppw.guarded":   r.GuardedPPW,
+		"rsv.bare":      r.BareRSV,
+		"worst.bare":    r.BareWorst,
+		"worst.guarded": r.GuardedWorst,
+		"trips":         float64(r.Trips),
+	}, nil, nil
+}
+
+func (s *session) faults(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.FaultStudy(s.env, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFaultStudy(w, r)
+	m := map[string]float64{"watchdog.ops": float64(r.Watchdog.Ops)}
+	for _, c := range r.Classes {
+		key := string(c.Class)
+		m["rsv_off."+key] = c.RSVOff
+		m["rsv_on."+key] = c.RSVOn
+		m["trips."+key] = float64(c.Trips)
+		m["injected."+key] = float64(c.Injected)
+	}
+	return m, nil, nil
+}
+
+func (s *session) guardrailSweep(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGuardedBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.GuardrailSweep(s.env, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintGuardrailSweep(w, r)
+	m := map[string]float64{
+		"watchdog.ops":    float64(r.WatchdogOps),
+		"detector.flips":  float64(r.DetectorFlips),
+		"detector.caught": float64(r.DetectorCaught),
+	}
+	for _, row := range r.Rows {
+		m["exposure."+row.Key] = row.MeanExposure
+		m["ppw."+row.Key] = row.PPW
+		m["trips."+row.Key] = float64(row.Trips)
+	}
+	if r.Best != "" {
+		m["dominates"] = 1
+	}
+	return m, detailDoc("guardrail-sweep", "watchdog.ops", r.WatchdogOps, r), nil
+}
+
+func (s *session) fleetRollout(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.FleetRollout(s.env, g)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintFleetRollout(w, r)
+	m := map[string]float64{"machines": float64(r.Machines)}
+	for _, row := range r.Rows {
+		m["exposed."+row.Key] = float64(row.Exposed)
+		m["installed."+row.Key] = float64(row.Installed)
+		m["time."+row.Key] = float64(row.TimeSteps)
+		m["bad_flashed."+row.Key] = float64(row.BadFlashed)
+		if row.BadCaught {
+			m["bad_caught."+row.Key] = 1
+		}
+	}
+	return m, detailDoc("fleet-rollout", "machines", r.Machines, r), nil
+}
+
+func (s *session) ctrlplaneSoak(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.CtrlplaneSoak(s.env, g, s.opts.checkpointDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintCtrlplane(w, r)
+	m := map[string]float64{
+		"machines":       float64(r.Machines),
+		"good.ticks":     float64(r.Good.Ticks),
+		"good.flashed":   float64(r.Good.Flashed),
+		"good.exposed":   float64(r.Good.Exposed),
+		"good.decisions": float64(r.Good.Decisions),
+		"bad.flashed":    float64(r.Bad.Flashed),
+	}
+	if r.Good.Completed {
+		m["good.completed"] = 1
+	}
+	if r.Bad.RolledBack {
+		m["bad.caught"] = 1
+	}
+	return m, soakDoc(r), nil
+}
+
+func (s *session) ctrlplaneChurn(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.CtrlplaneChurn(s.env, g, s.opts.checkpointDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintCtrlplaneChurn(w, r)
+	m := map[string]float64{"machines": float64(r.Machines)}
+	for i := range r.Arms {
+		a := &r.Arms[i]
+		m["completion."+a.Key] = a.CompletionRate()
+		m["stale."+a.Key] = float64(a.Report.StaleQuarantines)
+		m["catchup."+a.Key] = float64(a.Report.CatchUpFlashes)
+	}
+	// The campaign verdicts are read back from the bench document, which
+	// defines them.
+	b := churnDoc(r)
+	m["good.completed"] = *b.Metrics["good_completed"].Value
+	if *b.Metrics["bad_caught"].Value == 1 {
+		m["bad.caught"] = 1
+	}
+	return m, b, nil
+}
+
+func (s *session) uarch(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	rows, err := experiments.UarchAblations(s.env, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintUarchAblations(w, rows)
+	return nil, nil, nil
+}
+
+func (s *session) dvfs(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	rows, err := experiments.DVFSSweep(5)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintDVFS(w, rows)
+	return nil, nil, nil
+}
+
+func (s *session) ablations(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	rows, err := experiments.Ablations(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintAblations(w, rows)
+
+	pred, react, err := experiments.ReactiveAblation(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(w, "  predict t+2: PGOS %.1f%% RSV %.2f%% | reactive t: PGOS %.1f%% RSV %.2f%%\n",
+		100*pred.PGOS.Mean, 100*pred.RSV.Mean, 100*react.PGOS.Mean, 100*react.RSV.Mean)
+
+	norm, raw, err := experiments.NormalizationAblation(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(w, "  normalized: PGOS %.1f%% RSV %.2f%% | raw counts: PGOS %.1f%% RSV %.2f%%\n",
+		100*norm.PGOS.Mean, 100*norm.RSV.Mean, 100*raw.PGOS.Mean, 100*raw.RSV.Mean)
+	m := map[string]float64{
+		"pgos.predict":    pred.PGOS.Mean,
+		"rsv.predict":     pred.RSV.Mean,
+		"pgos.reactive":   react.PGOS.Mean,
+		"rsv.reactive":    react.RSV.Mean,
+		"pgos.normalized": norm.PGOS.Mean,
+		"pgos.raw":        raw.PGOS.Mean,
+	}
+	for _, r := range rows {
+		m["ppw."+r.Label] = r.PPWGain
+		m["rsv."+r.Label] = r.RSV
+	}
+	return m, nil, nil
+}
+
+func (s *session) surrogateBench(w io.Writer) (map[string]float64, *obs.Bench, error) {
+	model, err := s.surrogate()
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := experiments.BuildGeneralBestRF(s.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := experiments.SurrogateBench(s.env, model, g, 0.05)
+	if err != nil {
+		return nil, nil, err
+	}
+	experiments.PrintSurrogateBench(w, r)
+	return map[string]float64{
+		"err.p50":    r.ErrP50,
+		"err.p95":    r.ErrP95,
+		"err.max":    r.ErrMax,
+		"pred.agree": r.PredAgree,
+	}, surrogateDoc(r), nil
+}
+
+// The bench documents. Each builder declares every metric's gate and
+// tolerance class from a study's result alone, so the declarations can be
+// pinned by a test without running the study.
+
+// detailDoc is the bench document of a study whose outcomes are gated in
+// the results file: one count that pins the study's configuration, plus
+// its full result table as the ungated detail.
+func detailDoc(name, key string, count int, detail any) *obs.Bench {
+	b := obs.NewBench(name, detail)
+	b.Set(key, float64(count), "", obs.GateExact, obs.TolCounter)
+	return b
+}
+
+func soakDoc(r *experiments.CtrlplaneResult) *obs.Bench {
+	// Throughput and latency are wall clock: they appear here, never on
+	// stdout.
+	b := obs.NewBench("ctrlplane-soak", nil)
+	b.Set("machines", float64(r.Machines), "", obs.GateExact, obs.TolCounter)
+	b.Set("shards", float64(r.Shards), "", obs.GateExact, obs.TolCounter)
+	b.Set("ticks", float64(r.Good.Ticks), "", obs.GateExact, obs.TolCounter)
+	b.Set("intervals", float64(r.Good.Intervals), "", obs.GateExact, obs.TolCounter)
+	b.Set("decisions", float64(r.Good.Decisions), "", obs.GateExact, obs.TolCounter)
+	b.Set("machines_per_sec", r.MachinesPerSec, "1/s", obs.GateHigherBetter, obs.TolTiming)
+	b.Set("decisions_per_sec", r.DecisionsPerSec, "1/s", obs.GateHigherBetter, obs.TolTiming)
+	b.Set("p95_decision_ms", r.P95DecisionMS, "ms", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("wall_seconds", r.WallSeconds, "s", obs.GateWarn, obs.TolTiming)
+	b.Verdict("completed", r.Good.Completed)
+	b.Verdict("bad_caught", r.Bad.RolledBack)
+	return b
+}
+
+func churnDoc(r *experiments.CtrlplaneChurnResult) *obs.Bench {
+	b := obs.NewBench("ctrlplane-churn", nil)
+	b.Set("machines", float64(r.Machines), "", obs.GateExact, obs.TolCounter)
+	goodCompleted := true
+	for i := range r.Arms {
+		a := &r.Arms[i]
+		goodCompleted = goodCompleted && a.Report.Completed
+		k := a.Key + "."
+		b.Set(k+"churn_rate", a.ChurnRate, "", obs.GateExact, obs.TolMetric)
+		b.Set(k+"lease_ticks", float64(a.LeaseTicks), "", obs.GateExact, obs.TolMetric)
+		b.Verdict(k+"completed", a.Report.Completed)
+		// Completion is a deterministic campaign outcome, not wall clock:
+		// held at the metric tolerance however coarse -tol is.
+		b.Set(k+"completion_rate", a.CompletionRate(), obs.UnitFraction, obs.GateHigherBetter, obs.TolMetric)
+		b.Set(k+"leaves", float64(a.Report.Leaves), "", obs.GateExact, obs.TolCounter)
+		b.Set(k+"joins", float64(a.Report.Joins), "", obs.GateExact, obs.TolCounter)
+		b.Set(k+"catch_up_flashes", float64(a.Report.CatchUpFlashes), "", obs.GateExact, obs.TolCounter)
+		b.Set(k+"stale_quarantines", float64(a.Report.StaleQuarantines), "", obs.GateExact, obs.TolCounter)
+		b.Set(k+"gate_deferrals", float64(a.Report.GateDeferrals), "", obs.GateExact, obs.TolCounter)
+	}
+	b.Verdict("good_completed", goodCompleted)
+	b.Verdict("bad_caught", r.Bad.RolledBack && r.Bad.HaltedRing == 0)
+	b.Set("p95_decision_ms", r.P95DecisionMS, "ms", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("wall_seconds", r.WallSeconds, "s", obs.GateWarn, obs.TolTiming)
+	return b
+}
+
+func surrogateDoc(r *experiments.SurrogateBenchResult) *obs.Bench {
+	b := obs.NewBench("surrogate-bench", map[string]string{"backend": r.TrainBackend})
+	b.Set("traces", float64(r.Traces), "", obs.GateExact, obs.TolCounter)
+	b.Set("deploys", float64(r.Deploys), "", obs.GateExact, obs.TolCounter)
+	b.Set("samples", float64(r.TrainSamples), "", obs.GateExact, obs.TolCounter)
+	b.Set("exact_ns_per_deploy", r.ExactNSPerDeploy, "ns", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("surrogate_ns_per_deploy", r.ReplayNSPerDeploy, "ns", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("speedup", r.Speedup, "x", obs.GateWarn, obs.TolTiming)
+	// The error percentiles are one-sided accuracy gates: error may not
+	// grow past the timing tolerance, and shrinking never flags.
+	b.Set("err_p50", r.ErrP50, "", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("err_p95", r.ErrP95, "", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("err_max", r.ErrMax, "", obs.GateLowerBetter, obs.TolTiming)
+	b.Set("pred_agreement", r.PredAgree, obs.UnitFraction, obs.GateWarn, obs.TolMetric)
+	b.Set("budget", r.Budget, "", obs.GateExact, obs.TolMetric)
+	b.Verdict("within_budget", r.WithinBudget)
+	return b
 }
 
 // writeFig7SVG renders the residency profile as a bar chart.
@@ -833,119 +956,6 @@ func writeFig8SVG(dir string, rows []experiments.Fig8Row) error {
 		})
 	}
 	return writeSVG(dir, "fig8-models.svg", c.WriteSVG)
-}
-
-// writeSweepJSON persists the guardrail-sweep frontier as machine-readable
-// JSON (the -sweepjson flag), for CI validation and downstream tooling.
-func writeSweepJSON(path string, r *experiments.GuardrailSweepResult) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeRolloutJSON persists the fleet-rollout frontier as machine-readable
-// JSON (the -rolloutjson flag), for CI validation and downstream tooling.
-func writeRolloutJSON(path string, r *experiments.FleetRolloutResult) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeCtrlplaneJSON persists the ctrlplane-soak throughput figures
-// (machines/sec, decisions/sec, p95 decision latency) as machine-readable
-// JSON for CI gating; timings live here and never on stdout.
-func writeCtrlplaneJSON(path string, r *experiments.CtrlplaneResult) error {
-	out := map[string]any{
-		"schema":            "ctrlplane-bench/v1",
-		"machines":          r.Machines,
-		"shards":            r.Shards,
-		"ticks":             r.Good.Ticks,
-		"intervals":         r.Good.Intervals,
-		"decisions":         r.Good.Decisions,
-		"wall_seconds":      r.WallSeconds,
-		"machines_per_sec":  r.MachinesPerSec,
-		"decisions_per_sec": r.DecisionsPerSec,
-		"p95_decision_ms":   r.P95DecisionMS,
-		"completed":         r.Good.Completed,
-		"bad_caught":        r.Bad.RolledBack,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeCtrlplaneChurnJSON persists the churn-tolerance sweep (per-arm
-// completion rates and liveness counts, bad-image catch, p95 decision
-// latency) as machine-readable JSON for CI gating; timings live here and
-// never on stdout.
-func writeCtrlplaneChurnJSON(path string, r *experiments.CtrlplaneChurnResult) error {
-	arms := make([]map[string]any, 0, len(r.Arms))
-	goodCompleted := true
-	for i := range r.Arms {
-		a := &r.Arms[i]
-		if !a.Report.Completed {
-			goodCompleted = false
-		}
-		arms = append(arms, map[string]any{
-			"key":               a.Key,
-			"churn_rate":        a.ChurnRate,
-			"lease_ticks":       a.LeaseTicks,
-			"completed":         a.Report.Completed,
-			"completion_rate":   a.CompletionRate(),
-			"leaves":            a.Report.Leaves,
-			"joins":             a.Report.Joins,
-			"catch_up_flashes":  a.Report.CatchUpFlashes,
-			"stale_quarantines": a.Report.StaleQuarantines,
-			"gate_deferrals":    a.Report.GateDeferrals,
-		})
-	}
-	out := map[string]any{
-		"schema":          "ctrlplane-churn-bench/v1",
-		"machines":        r.Machines,
-		"arms":            arms,
-		"good_completed":  goodCompleted,
-		"bad_caught":      r.Bad.RolledBack && r.Bad.HaltedRing == 0,
-		"wall_seconds":    r.WallSeconds,
-		"p95_decision_ms": r.P95DecisionMS,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeSurrogateJSON persists the surrogate-bench comparison (speedup,
-// error distribution, agreement) as machine-readable JSON for CI gating;
-// timings live here and never on stdout.
-func writeSurrogateJSON(path string, r *experiments.SurrogateBenchResult) error {
-	out := map[string]any{
-		"schema":                  "surrogate-bench/v1",
-		"traces":                  r.Traces,
-		"deploys":                 r.Deploys,
-		"exact_ns_per_deploy":     r.ExactNSPerDeploy,
-		"surrogate_ns_per_deploy": r.ReplayNSPerDeploy,
-		"speedup":                 r.Speedup,
-		"err_p50":                 r.ErrP50,
-		"err_p95":                 r.ErrP95,
-		"err_max":                 r.ErrMax,
-		"pred_agreement":          r.PredAgree,
-		"samples":                 r.TrainSamples,
-		"backend":                 r.TrainBackend,
-		"budget":                  r.Budget,
-		"within_budget":           r.WithinBudget,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func writeSVG(dir, name string, render func(io.Writer) error) error {

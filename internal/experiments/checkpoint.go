@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"clustergate/internal/dataset"
+	"clustergate/internal/obs"
 )
 
 // CheckpointEntry is one completed experiment's persisted outcome: the
-// exact bytes it wrote to stdout plus its machine-readable metrics. Seed
-// and Scale guard against replaying results into a differently-configured
-// run.
+// exact bytes it wrote to stdout, its machine-readable metrics, and the
+// exact bytes of its bench document, if it has one. Seed and Scale guard
+// against replaying results into a differently-configured run.
 type CheckpointEntry struct {
 	Name    string             `json:"name"`
 	Seed    int64              `json:"seed"`
@@ -20,7 +22,12 @@ type CheckpointEntry struct {
 	Output  string             `json:"output"`
 	Seconds float64            `json:"seconds"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Bench   string             `json:"bench,omitempty"`
 }
+
+// ignoredEntries counts stored entries OpenCheckpoint dropped because they
+// were recorded under another seed or scale.
+var ignoredEntries = obs.NewCounter("experiments.checkpoint.ignored")
 
 // Checkpoint is a crash-safe store of completed experiments, keyed by
 // experiment name, backing paperbench's -checkpoint flag. Each Save
@@ -37,12 +44,14 @@ type Checkpoint struct {
 	seed    int64
 	scale   string
 	entries map[string]CheckpointEntry
+	ignored string
 }
 
 // OpenCheckpoint opens (or starts) the store at dir for a run with the
 // given seed and scale. Entries recorded under a different seed or scale
 // are ignored — they describe a different run and must not be replayed
-// into this one.
+// into this one — and counted in experiments.checkpoint.ignored; Ignored
+// says which.
 func OpenCheckpoint(dir string, seed int64, scale string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: checkpoint dir: %w", err)
@@ -64,12 +73,29 @@ func OpenCheckpoint(dir string, seed int64, scale string) (*Checkpoint, error) {
 	if err := json.Unmarshal(b, &all); err != nil {
 		return nil, fmt.Errorf("experiments: corrupt checkpoint %s: %w", c.path, err)
 	}
+	var foreign []string
 	for _, e := range all {
 		if e.Seed == seed && e.Scale == scale {
 			c.entries[e.Name] = e
+			continue
 		}
+		ignoredEntries.Inc()
+		foreign = append(foreign, fmt.Sprintf("%s (seed %d, scale %q)", e.Name, e.Seed, e.Scale))
+	}
+	if len(foreign) > 0 {
+		c.ignored = fmt.Sprintf("ignoring %d entries recorded under another seed or scale (this run: seed %d, scale %q): %s",
+			len(foreign), seed, scale, strings.Join(foreign, ", "))
 	}
 	return c, nil
+}
+
+// Ignored describes the entries OpenCheckpoint dropped for a seed or scale
+// mismatch, in one line; it is empty when none were.
+func (c *Checkpoint) Ignored() string {
+	if c == nil {
+		return ""
+	}
+	return c.ignored
 }
 
 // Load returns the checkpointed entry for an experiment, if present.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,17 +35,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("Has misreports")
 	}
 
-	// A different seed or scale must ignore the entry.
+	if c2.Ignored() != "" {
+		t.Fatalf("matching entry reported ignored: %s", c2.Ignored())
+	}
+
+	// A different seed or scale must ignore the entry, visibly: counted,
+	// and described with the stored run's identity.
 	for _, open := range []func() (*Checkpoint, error){
 		func() (*Checkpoint, error) { return OpenCheckpoint(dir, 8, "quick") },
 		func() (*Checkpoint, error) { return OpenCheckpoint(dir, 7, "full") },
 	} {
+		before := ignoredEntries.Value()
 		cx, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cx.Has("fig7") {
 			t.Fatal("entry replayed across seed/scale mismatch")
+		}
+		if n := ignoredEntries.Value() - before; n != 1 {
+			t.Fatalf("ignored counter rose by %d, want 1", n)
+		}
+		if why := cx.Ignored(); !strings.Contains(why, `fig7 (seed 7, scale "quick")`) {
+			t.Fatalf("ignore reason %q does not name the stored entry", why)
 		}
 	}
 }

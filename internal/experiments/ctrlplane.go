@@ -30,7 +30,7 @@ type CtrlplaneResult struct {
 	Bad  *ctrlplane.Report
 
 	// Wall-clock throughput over both campaigns combined. These fields
-	// never reach stdout — only BENCH_ctrlplane.json — so the experiment
+	// never reach stdout — only BENCH_ctrlplane-soak.json — so the experiment
 	// stream stays byte-identical across machines.
 	WallSeconds     float64
 	MachinesPerSec  float64

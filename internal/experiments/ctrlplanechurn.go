@@ -46,7 +46,7 @@ type CtrlplaneChurnResult struct {
 	Bad *ctrlplane.Report
 
 	// Wall-clock figures over the whole sweep. They never reach stdout —
-	// only BENCH_ctrlplane_churn.json — so the experiment stream stays
+	// only BENCH_ctrlplane-churn.json — so the experiment stream stays
 	// byte-identical across machines. P95DecisionMS reads the
 	// ctrlplane.churn.decision.latency histogram, scoped to this
 	// experiment so the soak study's p95 is undisturbed.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -88,6 +89,18 @@ func TestFig7OracleShape(t *testing.T) {
 	}
 	if byName["638.imagick_s"] > 0.35 {
 		t.Errorf("imagick residency = %.2f, want low", byName["638.imagick_s"])
+	}
+}
+
+// TestFig7OracleDeterministic pins the mean to the last bit: it feeds
+// BENCH_paperbench_results.json, which obsdiff compares run to run.
+func TestFig7OracleDeterministic(t *testing.T) {
+	e := quickEnv(t)
+	_, first := Fig7Oracle(e)
+	for i := 1; i < 20; i++ {
+		if _, mean := Fig7Oracle(e); math.Float64bits(mean) != math.Float64bits(first) {
+			t.Fatalf("call %d: mean residency %v, first call %v", i, mean, first)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func fleetTestEnv(t *testing.T, workers int) (*Env, *core.GatingController) {
 
 // TestFleetRolloutDeterministic locks the study's contract: identical
 // results, byte-identical rendering, and byte-identical JSON (the
-// -rolloutjson payload) at any worker count — plus the paper-facing
+// detail of BENCH_fleet-rollout.json) at any worker count — plus the paper-facing
 // acceptance claims: at equal time-to-full-fleet, the staged gated policy
 // exposes fewer machines to transport corruption than the unverified
 // big-bang, and a semantically bad image that the big-bang ships to the

@@ -20,7 +20,7 @@ type SurrogateBenchResult struct {
 	Deploys int
 
 	// Per-deployment wall-clock, nanoseconds. Timing fields never reach
-	// stdout — only BENCH_surrogate.json — so exact-mode output stays
+	// stdout — only BENCH_surrogate-bench.json — so exact-mode output stays
 	// byte-identical across machines.
 	ExactNSPerDeploy  float64
 	ReplayNSPerDeploy float64

@@ -31,11 +31,13 @@ go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./inte
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
     ./internal/ctrlplane/... ./internal/surrogate/... ./cmd/obsdiff/...
 
-# Stash the checked-in baselines before the steps below regenerate the
-# BENCH files in place; obsdiff compares fresh against stashed at the end.
+# Every BENCH_*.json is a gated artifact: a bench envelope, the run
+# manifest or the results file. Stash the checked-in ones before the steps
+# below regenerate them in place; obsdiff compares fresh against stashed at
+# the end.
 baseline_dir=$(mktemp -d)
 trap 'rm -rf "$baseline_dir"' EXIT
-for f in BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json; do
+for f in BENCH_*.json; do
     [ -f "$f" ] && cp "$f" "$baseline_dir/$f"
 done
 
@@ -46,39 +48,35 @@ echo "== uarch Execute benchmark (BENCH_uarch.json)"
 go test -run '^$' -bench 'BenchmarkUarch' -benchtime 5x -benchmem . \
     | go run scripts/uarch-bench-json.go > BENCH_uarch.json
 
-echo "== paperbench quick benchmark (BENCH_paperbench.json)"
+echo "== paperbench quick benchmark (BENCH_paperbench*.json, BENCH_<exp>.json)"
 go run ./cmd/paperbench -scale quick -exp all -seed 1 -q \
     -manifest BENCH_paperbench.json -results BENCH_paperbench_results.json \
-    -sweepjson BENCH_guardrail_sweep.json \
-    -rolloutjson BENCH_fleet_rollout.json \
-    -ctrlplanejson BENCH_ctrlplane.json \
-    -churnjson BENCH_ctrlplane_churn.json \
-    -events BENCH_events.jsonl \
-    -trace BENCH_trace.json \
+    -benchdir . \
+    -events RUN_events.jsonl \
+    -trace RUN_trace.json \
     > /dev/null
 
-echo "== surrogate benchmark (BENCH_surrogate.json)"
+echo "== surrogate benchmark (BENCH_surrogate-bench.json)"
 # Trains the analytic+ML surrogate on the quick-scale corpus, then times
 # exact vs surrogate deployments head to head. Timings and the error
-# distribution land in BENCH_surrogate.json only (stdout is deterministic),
+# distribution land in the bench document only (stdout is deterministic),
 # and obsdiff gates error drift below just like timing drift.
 go run ./cmd/paperbench -scale quick -exp surrogate-bench -seed 1 -q \
-    -surrogatejson BENCH_surrogate.json \
+    -benchdir . \
     > /dev/null
 
+bench_files=(BENCH_*.json)
+
 echo "== validate emitted JSON"
-go run scripts/validate-json.go BENCH_paperbench.json BENCH_paperbench_results.json \
-    BENCH_guardrail_sweep.json BENCH_fleet_rollout.json BENCH_uarch.json \
-    BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json \
-    BENCH_events.jsonl BENCH_trace.json
+go run scripts/validate-json.go "${bench_files[@]}" RUN_events.jsonl RUN_trace.json
 
 echo "== obsdiff perf gate (fresh run vs checked-in baselines)"
 # -tol 1.0 allows timing to double before failing: the quick run shares a
 # container with whatever else CI is doing, so this is a coarse net for
-# catastrophic regressions, not a microbenchmark. Counters and experiment
-# metrics are held (near-)exact — see cmd/obsdiff for the tolerances and
+# catastrophic regressions, not a microbenchmark. Each metric declares its
+# own gate and tolerance class — see cmd/obsdiff for the tolerances and
 # the default skip globs (cache-state and core-count dependent keys).
-for f in BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json; do
+for f in "${bench_files[@]}"; do
     if [ -f "$baseline_dir/$f" ]; then
         go run ./cmd/obsdiff -tol 1.0 "$baseline_dir/$f" "$f"
     else

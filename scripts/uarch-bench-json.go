@@ -1,9 +1,9 @@
 //go:build ignore
 
 // uarch-bench-json converts `go test -bench 'BenchmarkUarch' -benchmem`
-// output on stdin into BENCH_uarch.json on stdout, so check.sh records the
-// cycle-model's throughput trajectory per PR alongside the other BENCH
-// files. Run it as
+// output on stdin into BENCH_uarch.json on stdout, a clustergate-bench/v1
+// envelope, so check.sh records the cycle-model's throughput trajectory
+// alongside the other BENCH files and obsdiff gates it like them. Run it as
 //
 //	go test -run '^$' -bench 'BenchmarkUarch' -benchmem . | go run scripts/uarch-bench-json.go
 //
@@ -14,27 +14,28 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
+
+	"clustergate/internal/obs"
 )
 
 type bench struct {
-	Iterations     int64   `json:"iterations"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	InstrsPerSec   float64 `json:"instructions_per_sec"`
-	NsPerInstr     float64 `json:"ns_per_instr"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	HasInstrs      bool    `json:"-"`
-	HasNsPerInstr  bool    `json:"-"`
-	HasAllocsPerOp bool    `json:"-"`
+	Iterations     float64
+	NsPerOp        float64
+	InstrsPerSec   float64
+	NsPerInstr     float64
+	BytesPerOp     float64
+	AllocsPerOp    float64
+	HasInstrs      bool
+	HasNsPerInstr  bool
+	HasAllocsPerOp bool
 }
 
 func main() {
-	out := map[string]*bench{}
+	out := obs.NewBench("uarch", nil)
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -50,7 +51,7 @@ func main() {
 			}
 		}
 		b := &bench{}
-		b.Iterations, _ = strconv.ParseInt(fields[1], 10, 64)
+		b.Iterations, _ = strconv.ParseFloat(fields[1], 64)
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -85,22 +86,28 @@ func main() {
 		if b.AllocsPerOp == 0 {
 			b.BytesPerOp = 0
 		}
-		out[name] = b
+		// Time per op and per instruction may not grow past the timing
+		// tolerance; allocation and the fixed -benchtime iteration count
+		// are deterministic and held exact.
+		out.Set(name+".iterations", b.Iterations, "", obs.GateExact, obs.TolCounter)
+		out.Set(name+".ns_per_op", b.NsPerOp, "ns", obs.GateLowerBetter, obs.TolTiming)
+		out.Set(name+".ns_per_instr", b.NsPerInstr, "ns", obs.GateLowerBetter, obs.TolTiming)
+		out.Set(name+".instructions_per_sec", b.InstrsPerSec, "1/s", obs.GateWarn, obs.TolTiming)
+		out.Set(name+".bytes_per_op", b.BytesPerOp, "B", obs.GateExact, obs.TolCounter)
+		out.Set(name+".allocs_per_op", b.AllocsPerOp, "", obs.GateExact, obs.TolCounter)
 	}
 	if err := sc.Err(); err != nil {
 		fail("reading stdin: %v", err)
 	}
-	if len(out) == 0 {
+	if len(out.Metrics) == 0 {
 		fail("no Benchmark lines found on stdin")
 	}
-	doc := map[string]any{
-		"schema":     "uarch-bench/v1",
-		"benchmarks": out,
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(doc); err != nil {
+	data, err := out.Marshal()
+	if err != nil {
 		fail("encoding: %v", err)
+	}
+	if _, err := os.Stdout.Write(data); err != nil {
+		fail("writing: %v", err)
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	go run scripts/validate-json.go FILE...
 //
-// Three shapes are recognised:
+// Four shapes are recognised:
 //
 //   - *.jsonl — an event log: every line must be a JSON object carrying
 //     the required scope/t/kind fields, and lines must be sorted by
@@ -16,7 +16,9 @@
 //   - a JSON object with a "traceEvents" array — a Chrome trace: every
 //     event needs name/ph/pid/tid, "X" events need ts and non-negative
 //     dur.
-//   - anything else — plain JSON well-formedness, as before.
+//   - a JSON object with a "schema" field — a bench envelope: it must be a
+//     valid clustergate-bench/v1 document (obs.Bench.Validate).
+//   - anything else — plain JSON well-formedness.
 //
 // It exits nonzero on the first unreadable or malformed file and prints a
 // one-line summary per valid file as a sanity signal.
@@ -28,6 +30,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"clustergate/internal/obs"
 )
 
 func main() {
@@ -60,14 +64,13 @@ func validate(path string) error {
 		if events, ok := v["traceEvents"].([]any); ok {
 			return validateChromeTrace(path, events)
 		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "surrogate-bench/") {
-			return validateSurrogateBench(path, v)
-		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "ctrlplane-churn-bench/") {
-			return validateCtrlplaneChurnBench(path, v)
-		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "ctrlplane-bench/") {
-			return validateCtrlplaneBench(path, v)
+		if _, ok := v["schema"]; ok {
+			b, err := obs.ParseBench(data)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s: valid bench envelope %q, %d metrics\n", path, b.Name, len(b.Metrics))
+			return nil
 		}
 		fmt.Printf("%s: valid JSON object, %d top-level keys\n", path, len(v))
 	case []any:
@@ -115,120 +118,6 @@ func validateEventLog(path string, data []byte) error {
 		return err
 	}
 	fmt.Printf("%s: valid event log, %d events, deterministically ordered\n", path, n)
-	return nil
-}
-
-// validateSurrogateBench checks the BENCH_surrogate.json artifact: every
-// numeric field the obsdiff gate reads must be present and finite, and
-// the within_budget verdict must be a bool.
-func validateSurrogateBench(path string, v map[string]any) error {
-	numeric := []string{
-		"traces", "deploys",
-		"exact_ns_per_deploy", "surrogate_ns_per_deploy", "speedup",
-		"err_p50", "err_p95", "err_max", "pred_agreement",
-		"samples", "budget",
-	}
-	for _, k := range numeric {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	if _, ok := v["backend"].(string); !ok {
-		return fmt.Errorf("missing backend")
-	}
-	if _, ok := v["within_budget"].(bool); !ok {
-		return fmt.Errorf("missing or non-bool within_budget")
-	}
-	fmt.Printf("%s: valid surrogate bench, %.0fx speedup, p95 err %.4f\n",
-		path, v["speedup"].(float64), v["err_p95"].(float64))
-	return nil
-}
-
-// validateCtrlplaneBench checks the BENCH_ctrlplane.json artifact: every
-// numeric field the obsdiff gate reads must be present and finite, and
-// the campaign verdicts must be bools.
-func validateCtrlplaneBench(path string, v map[string]any) error {
-	numeric := []string{
-		"machines", "shards", "ticks", "intervals", "decisions",
-		"wall_seconds", "machines_per_sec", "decisions_per_sec",
-		"p95_decision_ms",
-	}
-	for _, k := range numeric {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	for _, k := range []string{"completed", "bad_caught"} {
-		if _, ok := v[k].(bool); !ok {
-			return fmt.Errorf("missing or non-bool %s", k)
-		}
-	}
-	fmt.Printf("%s: valid ctrlplane bench, %.0f machines/s, %.0f decisions/s, p95 %.3fms\n",
-		path, v["machines_per_sec"].(float64), v["decisions_per_sec"].(float64),
-		v["p95_decision_ms"].(float64))
-	return nil
-}
-
-// validateCtrlplaneChurnBench checks the BENCH_ctrlplane_churn.json
-// artifact: every arm must carry the fields the obsdiff gate reads, with
-// completion rates in [0, 1], and the campaign verdicts must be bools.
-func validateCtrlplaneChurnBench(path string, v map[string]any) error {
-	for _, k := range []string{"machines", "wall_seconds", "p95_decision_ms"} {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	for _, k := range []string{"good_completed", "bad_caught"} {
-		if _, ok := v[k].(bool); !ok {
-			return fmt.Errorf("missing or non-bool %s", k)
-		}
-	}
-	arms, ok := v["arms"].([]any)
-	if !ok || len(arms) == 0 {
-		return fmt.Errorf("missing or empty arms array")
-	}
-	for i, a := range arms {
-		arm, ok := a.(map[string]any)
-		if !ok {
-			return fmt.Errorf("arms[%d]: not an object", i)
-		}
-		if _, ok := arm["key"].(string); !ok {
-			return fmt.Errorf("arms[%d]: missing key", i)
-		}
-		if _, ok := arm["completed"].(bool); !ok {
-			return fmt.Errorf("arms[%d]: missing or non-bool completed", i)
-		}
-		numeric := []string{
-			"churn_rate", "lease_ticks", "completion_rate",
-			"leaves", "joins", "catch_up_flashes", "stale_quarantines", "gate_deferrals",
-		}
-		for _, k := range numeric {
-			n, ok := arm[k].(float64)
-			if !ok {
-				return fmt.Errorf("arms[%d]: missing or non-numeric field %q", i, k)
-			}
-			if n != n || n < 0 {
-				return fmt.Errorf("arms[%d]: field %q is negative or NaN: %v", i, k, n)
-			}
-		}
-		if cr := arm["completion_rate"].(float64); cr > 1 {
-			return fmt.Errorf("arms[%d]: completion_rate %v > 1", i, cr)
-		}
-	}
-	fmt.Printf("%s: valid ctrlplane churn bench, %d arms, p95 %.3fms\n",
-		path, len(arms), v["p95_decision_ms"].(float64))
 	return nil
 }
 
