@@ -50,7 +50,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fwtool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	train := fs.String("train", "", "train a model (best-rf, best-mlp, charstar) and save an image")
+	train := fs.String("train", "", "train a model (best-rf, best-mlp, charstar, srch-40k, srch-coarse) and save an image")
 	out := fs.String("o", "firmware.img", "output image path for -train and -corrupt")
 	info := fs.String("info", "", "print an image's metadata")
 	eval := fs.String("eval", "", "deploy an image on the SPEC-like test suite")
@@ -105,6 +105,10 @@ func doTrain(model, out string, apps int, psla float64, seed int64, guardrail bo
 		g, err = core.BuildBestMLP(in)
 	case "charstar":
 		g, err = core.BuildCHARSTAR(in)
+	case "srch-40k":
+		g, err = core.BuildSRCH(in, 40_000)
+	case "srch-coarse":
+		g, err = core.BuildSRCH(in, core.SRCHCoarseGranularity)
 	default:
 		return fmt.Errorf("unknown model %q", model)
 	}

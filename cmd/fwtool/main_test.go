@@ -11,7 +11,7 @@ import (
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
-	"clustergate/internal/mcu"
+	"clustergate/internal/durable"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/linear"
 	"clustergate/internal/telemetry"
@@ -97,8 +97,8 @@ func TestCorruptRoundTripCLI(t *testing.T) {
 		if !strings.Contains(out, "flipped bits") {
 			t.Fatalf("seed %d: -corrupt output %q", seed, out)
 		}
-		if _, err := fwtool(t, "-info", bad); !errors.Is(err, mcu.ErrImageCorrupt) {
-			t.Errorf("seed %d: verified load of a corrupted image returned %v, want ErrImageCorrupt", seed, err)
+		if _, err := fwtool(t, "-info", bad); !errors.Is(err, durable.ErrCorrupt) {
+			t.Errorf("seed %d: verified load of a corrupted image returned %v, want ErrCorrupt", seed, err)
 		}
 		if loadedUnverified {
 			os.Remove(bad)

@@ -14,8 +14,9 @@
 // declared metric with a gate and a tolerance class. An envelope declares
 // its own; for the two obs-owned formats obsdiff declares them: manifest
 // counters and histogram sample counts exact at the counter tolerance,
-// histogram percentiles lower-better at the timing tolerance, result
-// metrics exact at the metric tolerance, and wall clock and
+// histogram percentiles lower-better at the timing tolerance (compared as
+// their exact log2 bucket bounds, so a one-bucket shift reads exactly 2×),
+// result metrics exact at the metric tolerance, and wall clock and
 // per-experiment seconds warn-only at the timing tolerance.
 //
 // The gates: exact flags drift beyond tolerance in either direction,
@@ -189,8 +190,8 @@ func resultsMetrics(f *obs.ResultsFile) map[string]obs.BenchMetric {
 
 // manifestMetrics declares a run manifest's gates: counter deltas and
 // histogram sample counts exact at the counter tolerance (minus skip
-// globs), histogram percentiles lower-better at the timing tolerance, wall
-// clock warn-only.
+// globs), histogram percentiles lower-better at the timing tolerance in
+// bucket units (see bucketMS), wall clock warn-only.
 func manifestMetrics(m *obs.Manifest, tol tolerances) map[string]obs.BenchMetric {
 	b := obs.NewBench("manifest", nil)
 	for k, v := range m.Counters {
@@ -204,12 +205,25 @@ func manifestMetrics(m *obs.Manifest, tol tolerances) map[string]obs.BenchMetric
 		}
 		k := "histograms." + name + "."
 		b.Set(k+"count", float64(h.Count), "", obs.GateExact, obs.TolCounter)
-		b.Set(k+"p50_ms", h.P50MS, "ms", obs.GateLowerBetter, obs.TolTiming)
-		b.Set(k+"p95_ms", h.P95MS, "ms", obs.GateLowerBetter, obs.TolTiming)
-		b.Set(k+"p99_ms", h.P99MS, "ms", obs.GateLowerBetter, obs.TolTiming)
+		b.Set(k+"p50_ms", bucketMS(h.P50MS), "ms", obs.GateLowerBetter, obs.TolTiming)
+		b.Set(k+"p95_ms", bucketMS(h.P95MS), "ms", obs.GateLowerBetter, obs.TolTiming)
+		b.Set(k+"p99_ms", bucketMS(h.P99MS), "ms", obs.GateLowerBetter, obs.TolTiming)
 	}
 	b.Set("wall_seconds", m.WallSeconds, "s", obs.GateWarn, obs.TolTiming)
 	return b.Metrics
+}
+
+// bucketMS recovers the log2 histogram bucket a manifest percentile came
+// from and returns that bucket's exact bound, 2^k ns, in ms. A manifest
+// percentile is a bucket midpoint, 2^(k-1/2) ns, rounded to µs, so the
+// rounded midpoints of neighbouring buckets differ by slightly more than
+// 2×; their exact bounds differ by exactly 2× (a one-bucket shift passes
+// -tol 1.0, two buckets fail it).
+func bucketMS(ms float64) float64 {
+	if ms <= 0 {
+		return 0
+	}
+	return math.Exp2(math.Round(math.Log2(ms*1e6)+0.5)) / 1e6
 }
 
 // differ accumulates findings. envelope marks a bench-envelope

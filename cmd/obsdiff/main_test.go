@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,10 +130,11 @@ func TestManifestCounterDriftFails(t *testing.T) {
 
 func TestManifestSkipGlobs(t *testing.T) {
 	base := writeDoc(t, "base.json", manifestBase)
-	// Cache hits and pool peak change; both match default skip globs.
+	// Cache hits and pool peak change; both match default skip globs. The
+	// percentiles drift within their log2 buckets.
 	cur := writeDoc(t, "cur.json", `{"tool":"paperbench","seed":1,"wall_seconds":12,
 		"counters":{"core.deployments":50,"dataset.cache.hits":0,"parallel.inflight.peak":1},
-		"histograms":{"uarch.execute.batch":{"count":100,"p50_ms":1.2,"p95_ms":2.1,"p99_ms":3}}}`)
+		"histograms":{"uarch.execute.batch":{"count":100,"p50_ms":1.04,"p95_ms":2.09,"p99_ms":3}}}`)
 	code, out := diff(t, base, cur)
 	if code != 0 {
 		t.Fatalf("skip-glob keys must not fail: exit %d:\n%s", code, out)
@@ -154,6 +156,34 @@ func TestManifestHistogramPercentileRegression(t *testing.T) {
 		"histograms":{"uarch.execute.batch":{"count":100,"p50_ms":0.1,"p95_ms":0.2,"p99_ms":0.3}}}`)
 	if code, out := diff(t, base, cur2); code != 0 {
 		t.Fatalf("speedup flagged: exit %d:\n%s", code, out)
+	}
+}
+
+// TestManifestPercentileBucketShift: manifest percentiles are log2 bucket
+// midpoints rounded to µs, so a one-bucket shift must read exactly 2× and
+// pass -tol 1.0, and a two-bucket shift must fail it. The pairs are real
+// ones from quick-run manifests.
+func TestManifestPercentileBucketShift(t *testing.T) {
+	manifest := func(name string, p95 float64) string {
+		return writeDoc(t, name, fmt.Sprintf(`{"tool":"paperbench","seed":1,"wall_seconds":10,
+			"counters":{},"histograms":{"fleet.flash.latency":{"count":10,"p50_ms":0.741,"p95_ms":%v,"p99_ms":94.906}}}`, p95))
+	}
+	for _, c := range []struct {
+		base, cur float64
+		code      int
+	}{
+		{0.741, 1.483, 0},
+		{94.906, 189.813, 0},
+		{1.483, 0.741, 0},
+		{0.741, 2.966, 1},
+	} {
+		code, out := diff(t, "-tol", "1.0", manifest("base.json", c.base), manifest("cur.json", c.cur))
+		if code != c.code {
+			t.Errorf("p95 %v -> %v at -tol 1.0: exit %d, want %d:\n%s", c.base, c.cur, code, c.code, out)
+		}
+	}
+	if got := bucketMS(0.741); got != 1.048576 {
+		t.Errorf("bucketMS(0.741) = %v, want 2^20 ns = 1.048576 ms", got)
 	}
 }
 

@@ -316,8 +316,8 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 
 	if !opts.quiet {
 		cs := dataset.ReadCacheStats()
-		fmt.Fprintf(stderr, "# cache: %d hits, %d misses, %d collapses (%.1f MB read, %.1f MB written)\n",
-			cs.Hits, cs.Misses, cs.Collapses,
+		fmt.Fprintf(stderr, "# cache: %d hits, %d misses (%d discarded), %d collapses (%.1f MB read, %.1f MB written)\n",
+			cs.Hits, cs.Misses, cs.Discarded, cs.Collapses,
 			float64(cs.BytesRead)/1e6, float64(cs.BytesWritten)/1e6)
 		fmt.Fprintf(stderr, "# total %.1fs\n", time.Since(start).Seconds())
 	}

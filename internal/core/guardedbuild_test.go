@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"clustergate/internal/durable"
 	"clustergate/internal/fault"
 	"clustergate/internal/mcu"
 )
@@ -80,8 +81,8 @@ func TestGuardedBuildReservesWatchdog(t *testing.T) {
 	// exact failure the detector exists to prevent.
 	crcFlip := append([]byte(nil), img...)
 	crcFlip[9] ^= 1
-	if _, err := LoadController(bytes.NewReader(crcFlip)); !errors.Is(err, mcu.ErrImageCorrupt) {
-		t.Fatalf("corrupted image load: got %v, want ErrImageCorrupt", err)
+	if _, err := LoadController(bytes.NewReader(crcFlip)); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("corrupted image load: got %v, want ErrCorrupt", err)
 	}
 	unverified, err := LoadControllerUnverified(bytes.NewReader(crcFlip))
 	if err != nil {
@@ -94,8 +95,8 @@ func TestGuardedBuildReservesWatchdog(t *testing.T) {
 	// A payload bit flip is likewise rejected by the verified path.
 	payFlip := append([]byte(nil), img...)
 	payFlip[len(payFlip)-10] ^= 0x10
-	if _, err := LoadController(bytes.NewReader(payFlip)); !errors.Is(err, mcu.ErrImageCorrupt) {
-		t.Fatalf("payload-corrupt image load: got %v, want ErrImageCorrupt", err)
+	if _, err := LoadController(bytes.NewReader(payFlip)); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("payload-corrupt image load: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"clustergate/internal/dataset"
+	"clustergate/internal/durable"
 	"clustergate/internal/mcu"
 	"clustergate/internal/ml/forest"
 	"clustergate/internal/ml/linear"
@@ -47,12 +48,15 @@ type ModelBlob struct {
 // Version 2 added the watchdog op reserve and the CRC integrity envelope.
 const imageFormatVersion = 2
 
+// imageMagic tags a sealed firmware image in the durable envelope.
+var imageMagic = [4]byte{'C', 'G', 'F', 'W'}
+
 // standardCounterSetTag names the only counter space this design ships.
 const standardCounterSetTag = "standard-936"
 
 // SaveController writes a controller as a firmware image: the gob-encoded
-// payload sealed in the mcu integrity envelope, so the deployment path can
-// detect bit corruption before a damaged model reaches a machine.
+// payload sealed in the durable integrity envelope, so the deployment path
+// can detect bit corruption before a damaged model reaches a machine.
 func SaveController(w io.Writer, g *GatingController) error {
 	img := FirmwareImage{
 		FormatVersion: imageFormatVersion,
@@ -78,20 +82,20 @@ func SaveController(w io.Writer, g *GatingController) error {
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 		return fmt.Errorf("core: encoding firmware image: %w", err)
 	}
-	_, err = w.Write(mcu.SealImage(buf.Bytes()))
+	_, err = w.Write(durable.Seal(imageMagic, buf.Bytes()))
 	return err
 }
 
 // LoadController reads a firmware image, verifies its integrity envelope,
 // and reconstructs a deployable controller, rewrapping each model in
-// op-metered firmware. A corrupted image fails with mcu.ErrImageCorrupt
+// op-metered firmware. A corrupted image fails with durable.ErrCorrupt
 // and never deploys.
 func LoadController(r io.Reader) (*GatingController, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading firmware image: %w", err)
 	}
-	payload, err := mcu.OpenImage(raw)
+	payload, err := durable.Open(imageMagic, raw)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -107,7 +111,7 @@ func LoadControllerUnverified(r io.Reader) (*GatingController, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading firmware image: %w", err)
 	}
-	payload, err := mcu.UnwrapImage(raw)
+	payload, err := durable.Unwrap(raw)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

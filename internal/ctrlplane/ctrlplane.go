@@ -268,57 +268,101 @@ const (
 )
 
 // ringCtl is one ring's control state, owned by the serial decider (the
-// flash step folds into it from the same goroutine).
+// flash step folds into it from the same goroutine): its identity, which
+// the ring layout recomputes, plus the durable state a checkpoint carries.
 type ringCtl struct {
 	index    int
 	machines []int
-	state    ringState
-	// flashedUpTo is the next machine offset to flash; soakStart the tick
+	ringDurable
+}
+
+// ringDurable is the part of a ring's control state a checkpoint carries
+// whole.
+type ringDurable struct {
+	State ringState `json:"state"`
+	// FlashedUpTo is the next machine offset to flash; SoakStart the tick
 	// the ring entered soaking.
-	flashedUpTo int
-	soakStart   int
+	FlashedUpTo int `json:"flashed_up_to"`
+	SoakStart   int `json:"soak_start"`
 	// Transport accounting, folded from flash outcomes.
-	installed, rejected, flashCrashes          int
-	rejectedAttempts, flashRetries, crcRejects int
-	flashAttempts                              int
-	reflashed, reflashRecovered                int
+	Installed        int `json:"installed"`
+	Rejected         int `json:"rejected"`
+	FlashCrashes     int `json:"flash_crashes"`
+	RejectedAttempts int `json:"rejected_attempts"`
+	FlashRetries     int `json:"flash_retries"`
+	CRCRejects       int `json:"crc_rejects"`
+	FlashAttempts    int `json:"flash_attempts"`
+	Reflashed        int `json:"reflashed"`
+	ReflashRecovered int `json:"reflash_recovered"`
 	// Quorum is recorded at the transport decision for the report;
-	// quarantined at the health decision (installed machines held out of
+	// Quarantined at the health decision (installed machines held out of
 	// the gate as absent or lease-expired).
-	quorumNum, quorumDen int
-	quarantined          int
-	gateFailure          string
-	flashDoneTick        int
-	promotedTick         int
+	QuorumNum     int    `json:"quorum_num"`
+	QuorumDen     int    `json:"quorum_den"`
+	Quarantined   int    `json:"quarantined"`
+	GateFailure   string `json:"gate_failure,omitempty"`
+	FlashDoneTick int    `json:"flash_done_tick"`
+	PromotedTick  int    `json:"promoted_tick"`
 }
 
 // machineCtl is one machine's base state: written by the flash step's
 // serial fold and the serial liveness steps, read by telemetry producers.
+// Its ring comes from the layout and its profile is recomputed on
+// restore, so only machineDurable is checkpointed.
 type machineCtl struct {
-	ring       int
-	flashed    bool // ever installed the new image
-	installed  bool // currently running it
-	corrupt    bool
-	crashed    bool
-	rejected   bool
-	rolledBack bool
-	// Liveness state, owned by the serial churn/lease steps. present
-	// tracks the churn schedule; missedFlash marks a machine whose flash
-	// wave passed while it was absent (the catch-up step's worklist);
-	// stale marks an expired lease; leaseBase is the tick lease counting
-	// restarts from (soak start, join, or catch-up install); viaReflash
-	// records which transport schedule installed the machine, so a
-	// checkpoint restore replays the right one.
-	present     bool
-	missedFlash bool
-	stale       bool
-	leaseBase   int
-	viaReflash  bool
+	ring int
 	// profile is the machine's memoised soak behaviour, the source its
 	// synthesized telemetry streams from; nil until installed with a
 	// decodable controller.
-	profile     *fleet.SoakProfile
-	crashReason string
+	profile *fleet.SoakProfile
+	machineDurable
+}
+
+// machineDurable is the part of a machine's state a checkpoint carries
+// whole. The JSON tags are short because a checkpoint holds one entry per
+// machine.
+type machineDurable struct {
+	Flashed    bool `json:"f,omitempty"` // ever installed the new image
+	Installed  bool `json:"i,omitempty"` // currently running it
+	Corrupt    bool `json:"c,omitempty"`
+	Crashed    bool `json:"x,omitempty"`
+	Rejected   bool `json:"r,omitempty"`
+	RolledBack bool `json:"b,omitempty"`
+	// Liveness state, owned by the serial churn/lease steps. Present
+	// tracks the churn schedule; MissedFlash marks a machine whose flash
+	// wave passed while it was absent (the catch-up step's worklist);
+	// Stale marks an expired lease; LeaseBase is the tick lease counting
+	// restarts from (soak start, join, or catch-up install); ViaReflash
+	// records which transport schedule installed the machine, so a
+	// checkpoint restore replays the right one.
+	Present     bool   `json:"p,omitempty"`
+	MissedFlash bool   `json:"m,omitempty"`
+	Stale       bool   `json:"s,omitempty"`
+	LeaseBase   int    `json:"l,omitempty"`
+	ViaReflash  bool   `json:"v,omitempty"`
+	CrashReason string `json:"cr,omitempty"`
+}
+
+// tallies is the Service's durable scalar state — the halt and rollback
+// outcome and the liveness accounting, all owned by the serial steps — and
+// a checkpoint carries it whole.
+type tallies struct {
+	Halted          bool   `json:"halted,omitempty"`
+	HaltRing        int    `json:"halt_ring"`
+	HaltReason      string `json:"halt_reason,omitempty"`
+	RolledBack      bool   `json:"rolled_back,omitempty"`
+	RollbackFlashes int    `json:"rollback_flashes,omitempty"`
+	RollbackRetries int    `json:"rollback_retries,omitempty"`
+	GateEvals       int64  `json:"gate_evals"`
+
+	Leaves           int `json:"leaves,omitempty"`
+	Joins            int `json:"joins,omitempty"`
+	CatchUpFlashes   int `json:"catch_up_flashes,omitempty"`
+	CatchUpInstalled int `json:"catch_up_installed,omitempty"`
+	StaleQuarantines int `json:"stale_quarantines,omitempty"`
+	LeaseRenewals    int `json:"lease_renewals,omitempty"`
+	GateDeferrals    int `json:"gate_deferrals,omitempty"`
+	QuorumReevals    int `json:"quorum_reevals,omitempty"`
 }
 
 // Ingest observability: interval and batch volume and decision
@@ -351,19 +395,10 @@ type Service struct {
 	rings    []*ringCtl
 	shards   []*shard
 
-	tick                             int
-	halted                           bool
-	haltRing                         int
-	haltReason                       string
-	rolledBack                       bool
-	rollbackFlashes, rollbackRetries int
-	gateEvals                        int64
-
-	// Liveness accounting, owned by the serial steps.
-	leaves, joins                    int
-	catchUpFlashes, catchUpInstalled int
-	staleQuarantines, leaseRenewals  int
-	gateDeferrals, quorumReevals     int
+	// tick is the campaign clock. tally is a named field rather than
+	// embedded so its exported JSON fields stay out of Service's API.
+	tick  int
+	tally tallies
 
 	// events is the durable event backlog, mirrored into every snapshot
 	// so a resumed campaign re-emits the exact events the interrupted one
@@ -412,7 +447,7 @@ func New(cfg Config, img []byte, wl fleet.Workload) (*Service, error) {
 	if err := cfg.validate(&wl); err != nil {
 		return nil, err
 	}
-	s := &Service{cfg: cfg, haltRing: -1}
+	s := &Service{cfg: cfg, tally: tallies{HaltRing: -1}}
 	s.scope = cfg.Name
 	if s.scope == "" {
 		s.scope = fmt.Sprintf("ctrlplane-seed%d", cfg.Seed)
@@ -444,16 +479,17 @@ func New(cfg Config, img []byte, wl fleet.Workload) (*Service, error) {
 
 	s.machines = make([]machineCtl, cfg.Machines)
 	for m := range s.machines {
-		s.machines[m].present = s.flt.Present(m, 0)
+		s.machines[m].Present = s.flt.Present(m, 0)
 	}
 	for i, ring := range cfg.ringLayout() {
-		rc := &ringCtl{index: i, machines: ring, flashDoneTick: -1, promotedTick: -1}
+		rc := &ringCtl{index: i, machines: ring,
+			ringDurable: ringDurable{FlashDoneTick: -1, PromotedTick: -1}}
 		s.rings = append(s.rings, rc)
 		for _, m := range ring {
 			s.machines[m].ring = i
 		}
 	}
-	s.rings[0].state = ringFlashing
+	s.rings[0].State = ringFlashing
 
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -472,11 +508,11 @@ func New(cfg Config, img []byte, wl fleet.Workload) (*Service, error) {
 // Done reports the campaign reached a terminal state: every ring promoted,
 // or halted by a gate.
 func (s *Service) Done() bool {
-	if s.halted {
+	if s.tally.Halted {
 		return true
 	}
 	for _, r := range s.rings {
-		if r.state != ringPromoted {
+		if r.State != ringPromoted {
 			return false
 		}
 	}
@@ -563,21 +599,21 @@ func (s *Service) churnStep() {
 	for m := range s.machines {
 		mc := &s.machines[m]
 		p := s.flt.Present(m, s.tick)
-		if p == mc.present {
+		if p == mc.Present {
 			continue
 		}
-		mc.present = p
-		mc.stale = false
+		mc.Present = p
+		mc.Stale = false
 		if p {
-			s.joins++
-			mc.leaseBase = s.tick
+			s.tally.Joins++
+			mc.LeaseBase = s.tick
 			if s.recording() {
 				s.record(int64(s.tick), "fleet.machine.join", map[string]any{
 					"machine": m, "ring": mc.ring,
 				})
 			}
 		} else {
-			s.leaves++
+			s.tally.Leaves++
 			if s.recording() {
 				s.record(int64(s.tick), "fleet.machine.leave", map[string]any{
 					"machine": m, "ring": mc.ring,
@@ -587,26 +623,26 @@ func (s *Service) churnStep() {
 		// A membership change in a soaking ring re-evaluates that ring's
 		// quorum denominator (machines are ring-contiguous, so counting
 		// distinct rings is a last-seen check).
-		if s.rings[mc.ring].state == ringSoaking && mc.ring != lastRing {
+		if s.rings[mc.ring].State == ringSoaking && mc.ring != lastRing {
 			reeval++
 			lastRing = mc.ring
 		}
 	}
-	s.quorumReevals += reeval
+	s.tally.QuorumReevals += reeval
 }
 
 // catchUpStep flashes machines whose install wave passed while they were
 // absent, via the straggler re-flash schedule — the late-joiner path into
 // an already-soaking or promoted ring. Serial fold, machine order.
 func (s *Service) catchUpStep() {
-	if s.flt == nil || s.halted {
+	if s.flt == nil || s.tally.Halted {
 		return
 	}
 	var targets []int
 	for m := range s.machines {
 		mc := &s.machines[m]
-		if mc.present && mc.missedFlash && !mc.flashed && !mc.rejected &&
-			s.rings[mc.ring].state != ringPending {
+		if mc.Present && mc.MissedFlash && !mc.Flashed && !mc.Rejected &&
+			s.rings[mc.ring].State != ringPending {
 			targets = append(targets, m)
 		}
 	}
@@ -617,13 +653,13 @@ func (s *Service) catchUpStep() {
 	for j, f := range outs {
 		m := targets[j]
 		mc := &s.machines[m]
-		mc.missedFlash = false
-		s.catchUpFlashes++
+		mc.MissedFlash = false
+		s.tally.CatchUpFlashes++
 		s.foldFlash(s.rings[mc.ring], m, f)
 		if f.out.Installed {
-			s.catchUpInstalled++
-			mc.viaReflash = true
-			mc.leaseBase = s.tick
+			s.tally.CatchUpInstalled++
+			mc.ViaReflash = true
+			mc.LeaseBase = s.tick
 		}
 		if s.recording() {
 			s.record(int64(s.tick), "ctrlplane.machine.catchup", map[string]any{
@@ -643,31 +679,31 @@ func (s *Service) leaseStep() {
 		return
 	}
 	for _, rc := range s.rings {
-		if rc.state != ringSoaking {
+		if rc.State != ringSoaking {
 			continue
 		}
 		for _, m := range rc.machines {
 			mc := &s.machines[m]
-			if !mc.installed || mc.rolledBack || !mc.present {
+			if !mc.Installed || mc.RolledBack || !mc.Present {
 				continue
 			}
-			last := mc.leaseBase
-			if mh := s.shards[m%len(s.shards)].health[m]; mh != nil && mh.lastTick > last {
-				last = mh.lastTick
+			last := mc.LeaseBase
+			if mh := s.shards[m%len(s.shards)].health[m]; mh != nil && mh.LastTick > last {
+				last = mh.LastTick
 			}
 			if s.tick-last > s.cfg.LeaseTicks {
-				if !mc.stale {
-					mc.stale = true
-					s.staleQuarantines++
+				if !mc.Stale {
+					mc.Stale = true
+					s.tally.StaleQuarantines++
 					if s.recording() {
 						s.record(int64(s.tick), "ctrlplane.lease.expire", map[string]any{
 							"machine": m, "ring": rc.index, "silent": s.tick - last,
 						})
 					}
 				}
-			} else if mc.stale {
-				mc.stale = false
-				s.leaseRenewals++
+			} else if mc.Stale {
+				mc.Stale = false
+				s.tally.LeaseRenewals++
 				if s.recording() {
 					s.record(int64(s.tick), "ctrlplane.lease.renew", map[string]any{
 						"machine": m, "ring": rc.index,
@@ -683,29 +719,29 @@ func (s *Service) leaseStep() {
 func (s *Service) flashStep() {
 	var rc *ringCtl
 	for _, r := range s.rings {
-		if r.state == ringFlashing {
+		if r.State == ringFlashing {
 			rc = r
 			break
 		}
 	}
-	if rc == nil || rc.flashedUpTo >= len(rc.machines) {
+	if rc == nil || rc.FlashedUpTo >= len(rc.machines) {
 		return
 	}
-	wave := rc.machines[rc.flashedUpTo:]
+	wave := rc.machines[rc.FlashedUpTo:]
 	if s.cfg.FlashPerTick > 0 && len(wave) > s.cfg.FlashPerTick {
 		wave = wave[:s.cfg.FlashPerTick]
 	}
-	rc.flashedUpTo += len(wave)
+	rc.FlashedUpTo += len(wave)
 	// Absent machines can't be flashed; they join the catch-up worklist
 	// and get the straggler schedule when they reappear.
 	present := wave
 	if s.flt != nil {
 		present = make([]int, 0, len(wave))
 		for _, m := range wave {
-			if s.machines[m].present {
+			if s.machines[m].Present {
 				present = append(present, m)
 			} else {
-				s.machines[m].missedFlash = true
+				s.machines[m].MissedFlash = true
 			}
 		}
 	}
@@ -713,8 +749,8 @@ func (s *Service) flashStep() {
 	for j, fo := range outs {
 		s.foldFlash(rc, present[j], fo)
 	}
-	if rc.flashedUpTo == len(rc.machines) {
-		rc.flashDoneTick = s.tick
+	if rc.FlashedUpTo == len(rc.machines) {
+		rc.FlashDoneTick = s.tick
 	}
 }
 
@@ -751,20 +787,20 @@ func (s *Service) flashWave(spec *fleet.FlashSpec, wave []int, phase int) []flas
 // control state. Serial, machine order.
 func (s *Service) foldFlash(rc *ringCtl, m int, f flashed) {
 	mc := &s.machines[m]
-	rc.flashAttempts += f.out.Attempts
-	rc.flashRetries += f.out.Retries
-	rc.crcRejects += f.out.CRCRejects
+	rc.FlashAttempts += f.out.Attempts
+	rc.FlashRetries += f.out.Retries
+	rc.CRCRejects += f.out.CRCRejects
 	if f.out.CRCRejects > 0 {
-		rc.rejectedAttempts++
+		rc.RejectedAttempts++
 	}
 	if !f.out.Installed {
-		rc.rejected++
-		mc.rejected = true
+		rc.Rejected++
+		mc.Rejected = true
 		return
 	}
-	mc.flashed, mc.installed, mc.corrupt = true, true, f.out.Corrupt
+	mc.Flashed, mc.Installed, mc.Corrupt = true, true, f.out.Corrupt
 	mc.profile = f.profile
-	rc.installed++
+	rc.Installed++
 	// A decode crash is a transport-phase signal (the install agent sees
 	// it immediately, and the transport gate halts on it); a deploy crash
 	// is a soak-phase signal — the machine streams crashed telemetry and
@@ -772,13 +808,13 @@ func (s *Service) foldFlash(rc *ringCtl, m int, f flashed) {
 	crashReason, phase := "", ""
 	if f.out.Crashed {
 		crashReason, phase = "installed payload failed to decode", "install"
-		rc.flashCrashes++
+		rc.FlashCrashes++
 	} else if f.profile != nil && f.profile.Health.Crashed {
 		crashReason, phase = f.profile.Health.CrashReason, "soak"
 	}
 	if crashReason != "" {
-		mc.crashed = true
-		mc.crashReason = crashReason
+		mc.Crashed = true
+		mc.CrashReason = crashReason
 		if s.recording() {
 			s.record(int64(s.tick), "ctrlplane.machine.crash", map[string]any{
 				"machine": m, "ring": rc.index, "phase": phase, "reason": crashReason,
@@ -794,18 +830,18 @@ func (s *Service) foldFlash(rc *ringCtl, m int, f flashed) {
 // fold), so the event log is a pure function of the campaign inputs.
 func (s *Service) decideStep() {
 	for _, rc := range s.rings {
-		switch rc.state {
+		switch rc.State {
 		case ringFlashing:
-			if rc.flashedUpTo == len(rc.machines) {
+			if rc.FlashedUpTo == len(rc.machines) {
 				s.decideTransport(rc)
 			}
 		case ringSoaking:
-			prevPromoted := rc.index == 0 || s.rings[rc.index-1].state == ringPromoted
-			if prevPromoted && s.tick >= rc.soakStart+s.cfg.SoakTicks {
+			prevPromoted := rc.index == 0 || s.rings[rc.index-1].State == ringPromoted
+			if prevPromoted && s.tick >= rc.SoakStart+s.cfg.SoakTicks {
 				s.decideHealth(rc)
 			}
 		}
-		if s.halted {
+		if s.tally.Halted {
 			return
 		}
 	}
@@ -815,13 +851,13 @@ func (s *Service) decideStep() {
 // checks the install quorum, re-flashes stragglers, and starts the ring's
 // soak — pipelining the next ring's flash phase behind it.
 func (s *Service) decideTransport(rc *ringCtl) {
-	s.gateEvals++
+	s.tally.GateEvals++
 	decisionsMade.Inc()
 	rep := &fleet.RingReport{
 		Index: rc.index, Size: len(rc.machines),
-		Installed: rc.installed, Rejected: rc.rejected, Crashes: rc.flashCrashes,
-		RejectedAttempts: rc.rejectedAttempts,
-		FlashRetries:     rc.flashRetries, CRCRejects: rc.crcRejects,
+		Installed: rc.Installed, Rejected: rc.Rejected, Crashes: rc.FlashCrashes,
+		RejectedAttempts: rc.RejectedAttempts,
+		FlashRetries:     rc.FlashRetries, CRCRejects: rc.CRCRejects,
 	}
 	if f := s.cfg.Gate.TransportFailure(rep); f != "" {
 		s.haltAndRollback(rc, f)
@@ -834,15 +870,15 @@ func (s *Service) decideTransport(rc *ringCtl) {
 	num, den := 0, 0
 	for _, m := range rc.machines {
 		mc := &s.machines[m]
-		if !mc.present {
+		if !mc.Present {
 			continue
 		}
 		den++
-		if mc.installed {
+		if mc.Installed {
 			num++
 		}
 	}
-	rc.quorumNum, rc.quorumDen = num, den
+	rc.QuorumNum, rc.QuorumDen = num, den
 	if float64(num) < s.cfg.Quorum*float64(den) {
 		s.haltAndRollback(rc, fmt.Sprintf("install quorum %d/%d below %.2f",
 			num, den, s.cfg.Quorum))
@@ -853,50 +889,50 @@ func (s *Service) decideTransport(rc *ringCtl) {
 	// again stay on the old image and are counted, not fatal.
 	var stragglers []int
 	for _, m := range rc.machines {
-		if s.machines[m].rejected && s.machines[m].present {
+		if s.machines[m].Rejected && s.machines[m].Present {
 			stragglers = append(stragglers, m)
 		}
 	}
 	if len(stragglers) > 0 {
-		rc.reflashed = len(stragglers)
+		rc.Reflashed = len(stragglers)
 		outs := s.flashWave(&s.reflash, stragglers, fleet.PhaseInstall)
 		for j, f := range outs {
 			m := stragglers[j]
 			// Undo the first pass's rejected bookkeeping, then fold the
 			// re-flash like any install — foldFlash restores the rejected
 			// state if the second pass exhausted its attempts too.
-			s.machines[m].rejected = false
-			rc.rejected--
+			s.machines[m].Rejected = false
+			rc.Rejected--
 			s.foldFlash(rc, m, f)
 			if f.out.Installed {
-				rc.reflashRecovered++
-				s.machines[m].viaReflash = true
+				rc.ReflashRecovered++
+				s.machines[m].ViaReflash = true
 			}
 		}
 		if s.recording() {
 			s.record(int64(s.tick), "ctrlplane.ring.reflash", map[string]any{
-				"ring": rc.index, "stragglers": len(stragglers), "recovered": rc.reflashRecovered,
+				"ring": rc.index, "stragglers": len(stragglers), "recovered": rc.ReflashRecovered,
 			})
 		}
 	}
-	rc.state = ringSoaking
-	rc.soakStart = s.tick
+	rc.State = ringSoaking
+	rc.SoakStart = s.tick
 	// Lease counting starts at soak start; telemetry earlier than that
 	// doesn't exist.
 	for _, m := range rc.machines {
-		if s.machines[m].leaseBase < s.tick {
-			s.machines[m].leaseBase = s.tick
+		if s.machines[m].LeaseBase < s.tick {
+			s.machines[m].LeaseBase = s.tick
 		}
 	}
 	if s.recording() {
 		s.record(int64(s.tick), "ctrlplane.ring.soak", map[string]any{
-			"ring": rc.index, "installed": rc.installed,
-			"quorum": fmt.Sprintf("%d/%d", rc.quorumNum, rc.quorumDen),
+			"ring": rc.index, "installed": rc.Installed,
+			"quorum": fmt.Sprintf("%d/%d", rc.QuorumNum, rc.QuorumDen),
 		})
 	}
 	if rc.index+1 < len(s.rings) {
 		next := s.rings[rc.index+1]
-		next.state = ringFlashing
+		next.State = ringFlashing
 		if s.recording() {
 			s.record(int64(s.tick), "ctrlplane.ring.flash", map[string]any{
 				"ring": next.index, "size": len(next.machines),
@@ -918,18 +954,18 @@ func (s *Service) decideHealth(rc *ringCtl) {
 	live, quarantined := 0, 0
 	for _, m := range rc.machines {
 		mc := &s.machines[m]
-		if !mc.installed || mc.rolledBack {
+		if !mc.Installed || mc.RolledBack {
 			continue
 		}
-		if mc.present && !mc.stale {
+		if mc.Present && !mc.Stale {
 			live++
 		} else {
 			quarantined++
 		}
 	}
 	if s.flt != nil && float64(live) < s.cfg.Quorum*float64(live+quarantined) &&
-		s.tick < rc.soakStart+s.cfg.SoakTicks+2*(s.cfg.LeaseTicks+1) {
-		s.gateDeferrals++
+		s.tick < rc.SoakStart+s.cfg.SoakTicks+2*(s.cfg.LeaseTicks+1) {
+		s.tally.GateDeferrals++
 		if s.recording() {
 			s.record(int64(s.tick), "ctrlplane.gate.defer", map[string]any{
 				"ring": rc.index, "live": live, "quarantined": quarantined,
@@ -937,32 +973,30 @@ func (s *Service) decideHealth(rc *ringCtl) {
 		}
 		return
 	}
-	rc.quarantined = quarantined
-	s.gateEvals++
+	rc.Quarantined = quarantined
+	s.tally.GateEvals++
 	decisionsMade.Inc()
 	rep := &fleet.RingReport{
 		Index: rc.index, Size: len(rc.machines),
-		Installed: rc.installed, Quarantined: quarantined, Soaked: true,
+		Installed: rc.Installed, Quarantined: quarantined, Soaked: true,
 	}
-	for _, sh := range s.shards {
-		acc := &sh.rings[rc.index]
-		rep.Trips += acc.trips
-		rep.SLAWindows += acc.windows
-		rep.SLAViolations += acc.violations
-		rep.Misgated += acc.misgated
-		rep.Truth0 += acc.truth0
-		rep.Crashes += acc.crashes
-	}
+	acc := s.ringTotal(rc.index)
+	rep.Trips = acc.Trips
+	rep.SLAWindows = acc.Windows
+	rep.SLAViolations = acc.Violations
+	rep.Misgated = acc.Misgated
+	rep.Truth0 = acc.Truth0
+	rep.Crashes = acc.Crashes
 	if f := s.cfg.Gate.HealthFailure(rep); f != "" {
 		s.haltAndRollback(rc, f)
 		return
 	}
-	rc.state = ringPromoted
-	rc.promotedTick = s.tick
+	rc.State = ringPromoted
+	rc.PromotedTick = s.tick
 	if s.recording() {
 		s.record(int64(s.tick), "ctrlplane.ring.promote", map[string]any{
-			"ring": rc.index, "installed": rc.installed,
-			"quorum": fmt.Sprintf("%d/%d", rc.quorumNum, rc.quorumDen),
+			"ring": rc.index, "installed": rc.Installed,
+			"quorum": fmt.Sprintf("%d/%d", rc.QuorumNum, rc.QuorumDen),
 		})
 	}
 }
@@ -971,13 +1005,13 @@ func (s *Service) decideHealth(rc *ringCtl) {
 // every machine currently on the new image — including any already flashed
 // by the pipelined next ring — back to the previous one.
 func (s *Service) haltAndRollback(rc *ringCtl, reason string) {
-	rc.gateFailure = reason
-	s.halted = true
-	s.haltRing = rc.index
-	s.haltReason = reason
+	rc.GateFailure = reason
+	s.tally.Halted = true
+	s.tally.HaltRing = rc.index
+	s.tally.HaltReason = reason
 	var ids []int
 	for m := range s.machines {
-		if s.machines[m].installed {
+		if s.machines[m].Installed {
 			ids = append(ids, m)
 		}
 	}
@@ -988,12 +1022,12 @@ func (s *Service) haltAndRollback(rc *ringCtl, reason string) {
 	})
 	for j, m := range ids {
 		mc := &s.machines[m]
-		mc.installed = false
-		mc.rolledBack = true
-		s.rollbackRetries += outs[j].Retries
+		mc.Installed = false
+		mc.RolledBack = true
+		s.tally.RollbackRetries += outs[j].Retries
 	}
-	s.rolledBack = true
-	s.rollbackFlashes = len(ids)
+	s.tally.RolledBack = true
+	s.tally.RollbackFlashes = len(ids)
 	if s.recording() {
 		s.record(int64(s.tick), "ctrlplane.ring.halt", map[string]any{
 			"ring": rc.index, "reason": reason,

@@ -20,7 +20,7 @@ import (
 // testController builds a constant-probability logistic controller sealed
 // into an image: bias -4 never gates (healthy), bias +4 always gates (a
 // miscalibrated image whose misgate rate collapses the health gate).
-func testController(t *testing.T, cfg dataset.Config, bias float64, name string) []byte {
+func testController(t testing.TB, cfg dataset.Config, bias float64, name string) []byte {
 	t.Helper()
 	cs := telemetry.NewStandardCounterSet()
 	cols, err := core.ColumnsByName(cs, telemetry.Table4Names())
@@ -52,14 +52,20 @@ func testController(t *testing.T, cfg dataset.Config, bias float64, name string)
 }
 
 // testWorkload builds a small simulated SPEC workload for soak profiles.
-func testWorkload(t *testing.T) fleet.Workload {
+func testWorkload(t testing.TB) fleet.Workload {
+	return workloadOf(t, 4, 200_000)
+}
+
+// workloadOf builds a simulated SPEC workload of n traces of instrs
+// instructions each.
+func workloadOf(t testing.TB, n, instrs int) fleet.Workload {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("ctrlplane workload simulation skipped in -short mode")
 	}
 	cfg := dataset.DefaultConfig()
-	spec := trace.BuildSPEC(trace.SPECConfig{TracesPerWorkload: 1, InstrsPerTrace: 200_000, Seed: 13})
-	sub := &trace.Corpus{Name: "spec-sub", Traces: spec.Traces[:4]}
+	spec := trace.BuildSPEC(trace.SPECConfig{TracesPerWorkload: 1, InstrsPerTrace: instrs, Seed: 13})
+	sub := &trace.Corpus{Name: "spec-sub", Traces: spec.Traces[:n]}
 	return fleet.Workload{
 		Traces: sub.Traces,
 		Tel:    dataset.SimulateCorpus(sub, cfg),

@@ -8,36 +8,66 @@ import (
 )
 
 // interval is one machine's telemetry report for one soak window: the
-// unit the ingest layer batches, queues, and folds. A crashed machine
-// reports crashed intervals instead of window stats. tick is the
+// unit the ingest layer batches, queues, and folds, and the unit a
+// checkpoint carries for telemetry still in flight. A crashed machine
+// reports crashed intervals instead of window stats. Tick is the
 // interval's delivery tick — equal to its production tick on a reliable
 // fleet, later under telemetry-delay or shard-stall faults — and feeds
 // the lease layer's last-heard-from tracking.
 type interval struct {
-	machine, ring int
-	crashed       bool
-	tick          int
-	stat          fleet.WindowStat
+	Machine int              `json:"m"`
+	Ring    int              `json:"r"`
+	Crashed bool             `json:"c,omitempty"`
+	Tick    int              `json:"t"`
+	Stat    fleet.WindowStat `json:"s"`
 }
 
 // ringAccum is one shard's cumulative soak telemetry for one ring — the
 // numbers the health gate reads at the tick barrier. All fields commute
-// under addition, so the fold order of batches never matters.
+// under addition, so the fold order of batches never matters, and a
+// checkpoint carries the fleet-wide sum.
 type ringAccum struct {
-	intervals                  int64
-	trips, windows, violations int
-	misgated, truth0           int
-	crashes                    int
+	Intervals  int64 `json:"intervals"`
+	Trips      int   `json:"trips"`
+	Windows    int   `json:"windows"`
+	Violations int   `json:"violations"`
+	Misgated   int   `json:"misgated"`
+	Truth0     int   `json:"truth0"`
+	Crashes    int   `json:"crashes"`
+}
+
+// add folds another accumulator into a.
+func (a *ringAccum) add(b ringAccum) {
+	a.Intervals += b.Intervals
+	a.Trips += b.Trips
+	a.Windows += b.Windows
+	a.Violations += b.Violations
+	a.Misgated += b.Misgated
+	a.Truth0 += b.Truth0
+	a.Crashes += b.Crashes
+}
+
+// ringTotal sums ring i's accumulators across every shard.
+func (s *Service) ringTotal(i int) ringAccum {
+	var t ringAccum
+	for _, sh := range s.shards {
+		t.add(sh.rings[i])
+	}
+	return t
 }
 
 // machineHealth is the per-machine health record a shard maintains from
-// ingested telemetry. lastTick is the newest delivery tick folded for the
-// machine — the heartbeat the lease layer reads.
+// ingested telemetry, and a checkpoint carries it whole. LastTick is the
+// newest delivery tick folded for the machine — the heartbeat the lease
+// layer reads.
 type machineHealth struct {
-	trips, windows, violations int
-	misgated, truth0           int
-	crashed                    bool
-	lastTick                   int
+	Trips      int  `json:"t,omitempty"`
+	Windows    int  `json:"w,omitempty"`
+	Violations int  `json:"v,omitempty"`
+	Misgated   int  `json:"g,omitempty"`
+	Truth0     int  `json:"z,omitempty"`
+	Crashed    bool `json:"c,omitempty"`
+	LastTick   int  `json:"lt,omitempty"`
 }
 
 // shard is one ingest partition: a bounded queue fed by producers and a
@@ -97,35 +127,35 @@ func (s *Service) consume(sh *shard) {
 // fold accumulates one batch into the shard's ring and machine state.
 func (sh *shard) fold(b []interval) {
 	for _, iv := range b {
-		acc := &sh.rings[iv.ring]
-		acc.intervals++
-		mh := sh.health[iv.machine]
+		acc := &sh.rings[iv.Ring]
+		acc.Intervals++
+		mh := sh.health[iv.Machine]
 		if mh == nil {
 			mh = &machineHealth{}
-			sh.health[iv.machine] = mh
+			sh.health[iv.Machine] = mh
 		}
-		if iv.tick > mh.lastTick {
-			mh.lastTick = iv.tick
+		if iv.Tick > mh.LastTick {
+			mh.LastTick = iv.Tick
 		}
-		if iv.crashed {
-			if !mh.crashed {
-				mh.crashed = true
-				acc.crashes++
+		if iv.Crashed {
+			if !mh.Crashed {
+				mh.Crashed = true
+				acc.Crashes++
 			}
 			continue
 		}
-		acc.trips += iv.stat.Trips
-		acc.windows++
-		mh.trips += iv.stat.Trips
-		mh.windows++
-		if iv.stat.Violated {
-			acc.violations++
-			mh.violations++
+		acc.Trips += iv.Stat.Trips
+		acc.Windows++
+		mh.Trips += iv.Stat.Trips
+		mh.Windows++
+		if iv.Stat.Violated {
+			acc.Violations++
+			mh.Violations++
 		}
-		acc.misgated += iv.stat.Misgated
-		acc.truth0 += iv.stat.Truth0
-		mh.misgated += iv.stat.Misgated
-		mh.truth0 += iv.stat.Truth0
+		acc.Misgated += iv.Stat.Misgated
+		acc.Truth0 += iv.Stat.Truth0
+		mh.Misgated += iv.Stat.Misgated
+		mh.Truth0 += iv.Stat.Truth0
 	}
 }
 
@@ -167,15 +197,15 @@ func (s *Service) telemetryStep() {
 		}
 		for m := si; m < s.cfg.Machines; m += nshards {
 			mc := &s.machines[m]
-			if !mc.installed || mc.rolledBack || !mc.present ||
-				s.rings[mc.ring].state != ringSoaking {
+			if !mc.Installed || mc.RolledBack || !mc.Present ||
+				s.rings[mc.ring].State != ringSoaking {
 				continue
 			}
 			for k := 0; k < s.cfg.IntervalsPerTick; k++ {
 				iv := s.synthesize(m, mc, k)
 				if s.flt != nil {
 					if due := s.flt.DeliveryTick(m, s.tick, k); due > s.tick {
-						iv.tick = due
+						iv.Tick = due
 						sh.future[due] = append(sh.future[due], iv)
 						continue
 					}
@@ -197,10 +227,10 @@ func (s *Service) telemetryStep() {
 // of (seed, machine, tick, k) and every machine on the same trace and
 // image reports the same window population.
 func (s *Service) synthesize(m int, mc *machineCtl, k int) interval {
-	if mc.crashed || mc.profile == nil || mc.profile.Health.Crashed || len(mc.profile.Windows) == 0 {
-		return interval{machine: m, ring: mc.ring, crashed: true, tick: s.tick}
+	if mc.Crashed || mc.profile == nil || mc.profile.Health.Crashed || len(mc.profile.Windows) == 0 {
+		return interval{Machine: m, Ring: mc.ring, Crashed: true, Tick: s.tick}
 	}
 	draw := s.tick*s.cfg.IntervalsPerTick + k
 	wi := int(hashU64(s.cfg.Seed^saltTel, m, draw) % uint64(len(mc.profile.Windows)))
-	return interval{machine: m, ring: mc.ring, tick: s.tick, stat: mc.profile.Windows[wi]}
+	return interval{Machine: m, Ring: mc.ring, Tick: s.tick, Stat: mc.profile.Windows[wi]}
 }

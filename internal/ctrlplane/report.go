@@ -90,66 +90,64 @@ type Report struct {
 func (s *Service) report() *Report {
 	r := &Report{
 		Machines: s.cfg.Machines, Shards: s.cfg.Shards, Ticks: s.tick,
-		Completed:  !s.halted,
-		HaltedRing: s.haltRing, HaltReason: s.haltReason,
-		RolledBack:      s.rolledBack,
-		RollbackFlashes: s.rollbackFlashes,
-		RollbackRetries: s.rollbackRetries,
-		Leaves:          s.leaves, Joins: s.joins,
-		CatchUpFlashes: s.catchUpFlashes, CatchUpInstalled: s.catchUpInstalled,
-		StaleQuarantines: s.staleQuarantines, LeaseRenewals: s.leaseRenewals,
-		GateDeferrals: s.gateDeferrals, QuorumReevals: s.quorumReevals,
+		Completed:  !s.tally.Halted,
+		HaltedRing: s.tally.HaltRing, HaltReason: s.tally.HaltReason,
+		RolledBack:      s.tally.RolledBack,
+		RollbackFlashes: s.tally.RollbackFlashes,
+		RollbackRetries: s.tally.RollbackRetries,
+		Leaves:          s.tally.Leaves, Joins: s.tally.Joins,
+		CatchUpFlashes: s.tally.CatchUpFlashes, CatchUpInstalled: s.tally.CatchUpInstalled,
+		StaleQuarantines: s.tally.StaleQuarantines, LeaseRenewals: s.tally.LeaseRenewals,
+		GateDeferrals: s.tally.GateDeferrals, QuorumReevals: s.tally.QuorumReevals,
 	}
 	for _, mc := range s.machines {
-		if mc.flashed {
+		if mc.Flashed {
 			r.Flashed++
 		}
-		if mc.installed {
+		if mc.Installed {
 			r.Installed++
 		}
-		if mc.corrupt && mc.flashed {
+		if mc.Corrupt && mc.Flashed {
 			r.Exposed++
 		}
-		if mc.rejected {
+		if mc.Rejected {
 			r.Rejected++
 		}
-		if mc.crashed {
+		if mc.Crashed {
 			r.Crashed++
 		}
 	}
 	for _, rc := range s.rings {
 		st := RingStatus{
 			Index: rc.index, Size: len(rc.machines),
-			Installed: rc.installed, Rejected: rc.rejected,
-			QuorumNum: rc.quorumNum, QuorumDen: rc.quorumDen,
-			Reflashed: rc.reflashed, ReflashRecovered: rc.reflashRecovered,
-			FlashRetries: rc.flashRetries, CRCRejects: rc.crcRejects,
-			Promoted: rc.state == ringPromoted, GateFailure: rc.gateFailure,
-			FlashDoneTick: rc.flashDoneTick, PromotedTick: rc.promotedTick,
-			Crashes: rc.flashCrashes, Quarantined: rc.quarantined,
+			Installed: rc.Installed, Rejected: rc.Rejected,
+			QuorumNum: rc.QuorumNum, QuorumDen: rc.QuorumDen,
+			Reflashed: rc.Reflashed, ReflashRecovered: rc.ReflashRecovered,
+			FlashRetries: rc.FlashRetries, CRCRejects: rc.CRCRejects,
+			Promoted: rc.State == ringPromoted, GateFailure: rc.GateFailure,
+			FlashDoneTick: rc.FlashDoneTick, PromotedTick: rc.PromotedTick,
+			Crashes: rc.FlashCrashes, Quarantined: rc.Quarantined,
 		}
-		for _, sh := range s.shards {
-			acc := &sh.rings[rc.index]
-			st.Intervals += acc.intervals
-			st.Trips += acc.trips
-			st.SLAWindows += acc.windows
-			st.SLAViolations += acc.violations
-			st.Misgated += acc.misgated
-			st.Truth0 += acc.truth0
-			st.Crashes += acc.crashes
-		}
+		acc := s.ringTotal(rc.index)
+		st.Intervals = acc.Intervals
+		st.Trips = acc.Trips
+		st.SLAWindows = acc.Windows
+		st.SLAViolations = acc.Violations
+		st.Misgated = acc.Misgated
+		st.Truth0 = acc.Truth0
+		st.Crashes += acc.Crashes
 		r.Rings = append(r.Rings, st)
-		r.FlashAttempts += rc.flashAttempts
-		r.FlashRetries += rc.flashRetries
-		r.CRCRejects += rc.crcRejects
+		r.FlashAttempts += rc.FlashAttempts
+		r.FlashRetries += rc.FlashRetries
+		r.CRCRejects += rc.CRCRejects
 	}
 	for _, sh := range s.shards {
 		r.Batches += sh.batches
 		for i := range sh.rings {
-			r.Intervals += sh.rings[i].intervals
+			r.Intervals += sh.rings[i].Intervals
 		}
 	}
-	r.Decisions = r.Intervals + s.gateEvals
+	r.Decisions = r.Intervals + s.tally.GateEvals
 	return r
 }
 
@@ -162,7 +160,7 @@ func (s *Service) MachineHealth(m int) (trips, windows, violations, misgated, tr
 	if mh == nil {
 		return 0, 0, 0, 0, 0, false
 	}
-	return mh.trips, mh.windows, mh.violations, mh.misgated, mh.truth0, mh.crashed
+	return mh.Trips, mh.Windows, mh.Violations, mh.Misgated, mh.Truth0, mh.Crashed
 }
 
 // Print renders the report as the deterministic experiment text: logical

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -10,19 +11,22 @@ import (
 	"path/filepath"
 	"sync"
 
+	"clustergate/internal/durable"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
 	"clustergate/internal/trace"
 )
 
 // Cache observability: hits read a valid file, misses simulate and write
-// one, collapses are concurrent in-process callers that shared another
-// caller's simulation instead of reading or simulating themselves. Byte
-// counters record cache I/O volume. All land in run manifests under the
-// "dataset.cache.*" keys.
+// one, discards are the misses that found a file but could not use it
+// (corrupt, or recorded under another key or version), collapses are
+// concurrent in-process callers that shared another caller's simulation
+// instead of reading or simulating themselves. Byte counters record cache
+// I/O volume. All land in run manifests under the "dataset.cache.*" keys.
 var (
 	cacheHits         = obs.NewCounter("dataset.cache.hits")
 	cacheMisses       = obs.NewCounter("dataset.cache.misses")
+	cacheDiscards     = obs.NewCounter("dataset.cache.discarded")
 	cacheCollapses    = obs.NewCounter("dataset.cache.collapses")
 	cacheBytesRead    = obs.NewCounter("dataset.cache.bytes_read")
 	cacheBytesWritten = obs.NewCounter("dataset.cache.bytes_written")
@@ -30,8 +34,8 @@ var (
 
 // CacheStats is a point-in-time reading of the telemetry-cache counters.
 type CacheStats struct {
-	Hits, Misses, Collapses int64
-	BytesRead, BytesWritten int64
+	Hits, Misses, Discarded, Collapses int64
+	BytesRead, BytesWritten            int64
 }
 
 // ReadCacheStats reports the process-wide telemetry-cache activity, used
@@ -41,6 +45,7 @@ func ReadCacheStats() CacheStats {
 	return CacheStats{
 		Hits:         cacheHits.Value(),
 		Misses:       cacheMisses.Value(),
+		Discarded:    cacheDiscards.Value(),
 		Collapses:    cacheCollapses.Value(),
 		BytesRead:    cacheBytesRead.Value(),
 		BytesWritten: cacheBytesWritten.Value(),
@@ -48,8 +53,12 @@ func ReadCacheStats() CacheStats {
 }
 
 // cacheVersion invalidates cached telemetry when the recording format or
-// simulator behaviour changes incompatibly.
-const cacheVersion = 4
+// simulator behaviour changes incompatibly. Version 5 sealed the file in
+// the durable envelope.
+const cacheVersion = 5
+
+// cacheMagic tags a telemetry-cache file in the durable envelope.
+var cacheMagic = [4]byte{'C', 'G', 'T', 'C'}
 
 // CacheFileRef identifies one telemetry-cache file this process read or
 // wrote, for checkpoint manifests: a resumed run can verify its cache files
@@ -146,10 +155,9 @@ var simFlight parallel.Group[[]*TraceTelemetry]
 //
 // The function is safe for concurrent use, in-process and across
 // processes: concurrent in-process callers of the same key simulate once
-// (single-flight), and the cache file is written to a unique temp file and
-// published atomically with os.Rename, so a reader never observes a torn
-// file. cfg.Workers deliberately stays out of the key — telemetry is
-// worker-count-independent.
+// (single-flight), and the cache file is a sealed, fsynced durable file,
+// so a reader never trusts a torn or edited one. cfg.Workers deliberately
+// stays out of the key — telemetry is worker-count-independent.
 func SimulateCorpusCached(c *trace.Corpus, cfg Config, dir string) ([]*TraceTelemetry, error) {
 	if dir == "" {
 		return SimulateCorpus(c, cfg), nil
@@ -167,20 +175,26 @@ func SimulateCorpusCached(c *trace.Corpus, cfg Config, dir string) ([]*TraceTele
 }
 
 // loadOrSimulate is the single-flighted body: read a valid cache file or
-// simulate and atomically publish one.
+// simulate and publish one. A file that exists but fails its envelope,
+// does not decode, or carries another key or version is discarded:
+// counted, logged as a dataset.cache.discard event, and overwritten.
 func loadOrSimulate(c *trace.Corpus, cfg Config, path, key, dir string) ([]*TraceTelemetry, error) {
-	if f, err := os.Open(path); err == nil {
+	if raw, err := os.ReadFile(path); err == nil {
 		var cached cacheFile
-		dec := gob.NewDecoder(f)
-		err := dec.Decode(&cached)
-		f.Close()
-		if err == nil && cached.Version == cacheVersion && cached.Key == key {
-			cacheHits.Inc()
-			if fi, err := os.Stat(path); err == nil {
-				cacheBytesRead.Add(fi.Size())
+		reason := "corrupt"
+		if payload, err := durable.Open(cacheMagic, raw); err == nil &&
+			gob.NewDecoder(bytes.NewReader(payload)).Decode(&cached) == nil {
+			if cached.Version == cacheVersion && cached.Key == key {
+				cacheHits.Inc()
+				cacheBytesRead.Add(int64(len(raw)))
+				recordCacheFile(key, path)
+				return cached.Traces, nil
 			}
-			recordCacheFile(key, path)
-			return cached.Traces, nil
+			reason = "mismatch"
+		}
+		cacheDiscards.Inc()
+		if obs.EventsActive() {
+			obs.Emit(key, 0, "dataset.cache.discard", map[string]any{"reason": reason})
 		}
 	}
 	cacheMisses.Inc()
@@ -189,27 +203,15 @@ func loadOrSimulate(c *trace.Corpus, cfg Config, path, key, dir string) ([]*Trac
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return tel, fmt.Errorf("dataset: cache dir: %w", err)
 	}
-	// A unique temp name per writer keeps concurrent processes from
-	// clobbering each other's half-written files; whichever rename lands
-	// last wins, and both contents are identical by determinism.
-	f, err := os.CreateTemp(dir, key+".tmp-*")
-	if err != nil {
-		return tel, fmt.Errorf("dataset: cache create: %w", err)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(cacheFile{Version: cacheVersion, Key: key, Traces: tel}); err != nil {
+		return tel, fmt.Errorf("dataset: cache encode: %w", err)
 	}
-	tmp := f.Name()
-	enc := gob.NewEncoder(f)
-	err = enc.Encode(cacheFile{Version: cacheVersion, Key: key, Traces: tel})
-	cerr := f.Close()
-	if err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
+	// Concurrent processes each publish through their own temp file;
+	// whichever rename lands last wins, and both contents are identical by
+	// determinism.
+	if err := durable.WriteFile(path, cacheMagic, buf.Bytes()); err != nil {
 		return tel, fmt.Errorf("dataset: cache write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return tel, fmt.Errorf("dataset: cache rename: %w", err)
 	}
 	if fi, err := os.Stat(path); err == nil {
 		cacheBytesWritten.Add(fi.Size())

@@ -2,13 +2,22 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"clustergate/internal/dataset"
+	"clustergate/internal/durable"
 	"clustergate/internal/obs"
+)
+
+// Durable-envelope magics of the two files a checkpoint directory holds.
+var (
+	checkpointMagic    = [4]byte{'C', 'G', 'C', 'K'}
+	cacheManifestMagic = [4]byte{'C', 'G', 'C', 'M'}
 )
 
 // CheckpointEntry is one completed experiment's persisted outcome: the
@@ -31,11 +40,12 @@ var ignoredEntries = obs.NewCounter("experiments.checkpoint.ignored")
 
 // Checkpoint is a crash-safe store of completed experiments, keyed by
 // experiment name, backing paperbench's -checkpoint flag. Each Save
-// rewrites the whole store atomically (temp file + rename), so a run
+// rewrites the whole store as one sealed, fsynced durable file, so a run
 // killed at any instant leaves either the previous consistent store or
-// the new one — never a torn file. A resumed run replays checkpointed
-// stdout verbatim and re-runs only what is missing, which is what makes
-// the resumed output byte-identical to an uninterrupted run.
+// the new one, and a torn or edited file is an error rather than trusted.
+// A resumed run replays checkpointed stdout verbatim and re-runs only what
+// is missing, which is what makes the resumed output byte-identical to an
+// uninterrupted run.
 //
 // A nil *Checkpoint is a valid no-op store (checkpointing disabled), so
 // callers never branch on enablement.
@@ -57,21 +67,17 @@ func OpenCheckpoint(dir string, seed int64, scale string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("experiments: checkpoint dir: %w", err)
 	}
 	c := &Checkpoint{
-		path:    filepath.Join(dir, "checkpoint.json"),
+		path:    filepath.Join(dir, "checkpoint.ckpt"),
 		seed:    seed,
 		scale:   scale,
 		entries: map[string]CheckpointEntry{},
 	}
-	b, err := os.ReadFile(c.path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: reading checkpoint: %w", err)
-	}
 	var all []CheckpointEntry
-	if err := json.Unmarshal(b, &all); err != nil {
-		return nil, fmt.Errorf("experiments: corrupt checkpoint %s: %w", c.path, err)
+	if err := readJSON(c.path, checkpointMagic, &all); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return c, nil
+		}
+		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
 	}
 	var foreign []string
 	for _, e := range all {
@@ -120,7 +126,7 @@ func (c *Checkpoint) Has(names ...string) bool {
 	return true
 }
 
-// Save records a completed experiment and persists the store atomically.
+// Save records a completed experiment and persists the store.
 func (c *Checkpoint) Save(e CheckpointEntry) error {
 	if c == nil {
 		return nil
@@ -132,65 +138,66 @@ func (c *Checkpoint) Save(e CheckpointEntry) error {
 		all = append(all, entry)
 	}
 	// Stable order keeps the file diffable across saves.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].Name < all[j-1].Name; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	b, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("experiments: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		return fmt.Errorf("experiments: committing checkpoint: %w", err)
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	if err := writeJSON(c.path, checkpointMagic, all); err != nil {
+		return fmt.Errorf("experiments: checkpoint: %w", err)
 	}
 	return nil
 }
 
+// cacheManifestPath is the cache manifest's file, next to the store.
+func (c *Checkpoint) cacheManifestPath() string {
+	return filepath.Join(filepath.Dir(c.path), "cache-manifest.ckpt")
+}
+
 // SaveCacheManifest persists the telemetry-cache files the run depends on
-// alongside the checkpoint, atomically. A resumed run can then check the
-// manifest to know whether its caches survive — i.e. whether the resume
-// replays fully offline or must re-simulate.
+// alongside the checkpoint. A resumed run can then check the manifest to
+// know whether its caches survive — i.e. whether the resume replays fully
+// offline or must re-simulate.
 func (c *Checkpoint) SaveCacheManifest(refs []dataset.CacheFileRef) error {
 	if c == nil {
 		return nil
 	}
-	b, err := json.MarshalIndent(refs, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(filepath.Dir(c.path), "cache-manifest.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("experiments: writing cache manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("experiments: committing cache manifest: %w", err)
+	if err := writeJSON(c.cacheManifestPath(), cacheManifestMagic, refs); err != nil {
+		return fmt.Errorf("experiments: cache manifest: %w", err)
 	}
 	return nil
 }
 
 // CacheManifest loads the previously saved telemetry-cache manifest; a
-// missing manifest returns an empty slice.
+// missing manifest returns an empty slice, a corrupt one an error.
 func (c *Checkpoint) CacheManifest() ([]dataset.CacheFileRef, error) {
 	if c == nil {
 		return nil, nil
 	}
-	path := filepath.Join(filepath.Dir(c.path), "cache-manifest.json")
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: reading cache manifest: %w", err)
-	}
 	var refs []dataset.CacheFileRef
-	if err := json.Unmarshal(b, &refs); err != nil {
-		return nil, fmt.Errorf("experiments: corrupt cache manifest %s: %w", path, err)
+	if err := readJSON(c.cacheManifestPath(), cacheManifestMagic, &refs); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("experiments: cache manifest: %w", err)
 	}
 	return refs, nil
+}
+
+// writeJSON persists v as indented JSON in a sealed durable file.
+func writeJSON(path string, magic [4]byte, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return durable.WriteFile(path, magic, append(b, '\n'))
+}
+
+// readJSON decodes a sealed durable file into v. A payload that verifies
+// but does not decode is reported as corrupt, like a failed envelope.
+func readJSON(path string, magic [4]byte, v any) error {
+	b, err := durable.ReadFile(path, magic)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("%w: %s: %v", durable.ErrCorrupt, path, err)
+	}
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"clustergate/internal/durable"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -80,7 +82,7 @@ func TestCheckpointAtomicity(t *testing.T) {
 		}
 	}
 	// Simulate a crash mid-write: a stray temp file must not perturb reads.
-	tmp := filepath.Join(dir, "checkpoint.json.tmp")
+	tmp := filepath.Join(dir, "checkpoint.ckpt.tmp-12345")
 	if err := os.WriteFile(tmp, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -102,4 +104,54 @@ func TestCheckpointNil(t *testing.T) {
 	if _, ok := c.Load("x"); ok || c.Has("x") {
 		t.Fatal("nil store claims entries")
 	}
+}
+
+// FuzzOpenCheckpoint: OpenCheckpoint over arbitrary file bytes returns a
+// store or an error, never panics, and a store it opens stays writable
+// and reopenable. Each input is tried twice: as the raw file, and sealed,
+// so mutations also reach the JSON decoder behind the CRC. Seeds are
+// stores Save wrote.
+func FuzzOpenCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	c, err := OpenCheckpoint(dir, 7, "quick")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range []CheckpointEntry{
+		{Name: "fig7", Output: "row one\n", Seconds: 1.5, Metrics: map[string]float64{"mean": 0.42}},
+		{Name: "fleet-rollout", Output: "x\n", Bench: `{"schema":"clustergate-bench/v1"}`},
+	} {
+		if err := c.Save(e); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "checkpoint.ckpt"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		payload, err := durable.Open(checkpointMagic, raw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, file := range [][]byte{b, durable.Seal(checkpointMagic, b)} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "checkpoint.ckpt"), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := OpenCheckpoint(dir, 7, "quick")
+			if err != nil {
+				continue
+			}
+			if err := c.Save(CheckpointEntry{Name: "fuzz"}); err != nil {
+				t.Fatalf("saving to an opened store: %v", err)
+			}
+			if c2, err := OpenCheckpoint(dir, 7, "quick"); err != nil || !c2.Has("fuzz") {
+				t.Fatalf("reopening a saved store: %v", err)
+			}
+		}
+	})
 }

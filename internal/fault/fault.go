@@ -432,7 +432,7 @@ func (ti *TraceInjector) MemDerate(idx int) float64 {
 }
 
 // FlipBits flips n distinct, seed-chosen bit positions of data in place —
-// the firmware-image corruption the mcu integrity envelope must detect —
+// the firmware-image corruption the durable integrity envelope must detect —
 // and returns the flipped positions in ascending order. The positions are
 // a pure function of (seed, n, len(data)); n is clamped to the bit length.
 func FlipBits(data []byte, seed int64, n int) []int {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: static checks, race-detector runs of the packages the
-# parallel engine and observability layer touch, and a timed quick-scale
+# parallel engine and observability layer touch, short fuzzing runs of
+# the persisted-bytes decoders, and a timed quick-scale
 # paperbench run whose manifest seeds the performance trajectory. The
 # previous run's checked-in BENCH baselines are stashed before
 # regeneration and diffed against the fresh artifacts with cmd/obsdiff,
@@ -27,9 +28,18 @@ fi
 echo "== go test -race (worker pool + observability + robustness packages)"
 # internal/core under -race runs ~10 min on a 1-core container; give it
 # headroom beyond go test's default 10m timeout.
-go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
+go test -race -timeout 25m ./internal/parallel/... ./internal/durable/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
     ./internal/ctrlplane/... ./internal/surrogate/... ./cmd/obsdiff/...
+
+echo "== fuzz (durable envelope, experiment checkpoint, ctrlplane checkpoint)"
+# Short native fuzzing runs of the decoders of persisted bytes. A crasher
+# lands in the package's testdata/fuzz directory, fails this step, and is
+# committed as a regression seed. -fuzzminimizetime bounds minimisation,
+# which otherwise replays a ctrlplane restore thousands of times.
+go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/durable
+go test -run '^$' -fuzz '^FuzzOpenCheckpoint$' -fuzztime 10s -fuzzminimizetime 10x ./internal/experiments
+go test -run '^$' -fuzz '^FuzzCheckpointRestore$' -fuzztime 20s -fuzzminimizetime 10x ./internal/ctrlplane
 
 # Every BENCH_*.json is a gated artifact: a bench envelope, the run
 # manifest or the results file. Stash the checked-in ones before the steps
